@@ -336,7 +336,7 @@ let chaos_arg =
     & info [ "chaos" ] ~docv:"SPEC"
         ~doc:
           "Install a deterministic fault plan before running, e.g. \
-           $(b,crash\\@space.pop:100,kill\\@worker1:5,seed=7).  Overrides \
+           $(b,crash@space.pop:100,kill@worker1:5,seed=7).  Overrides \
            the $(b,COBEGIN_CHAOS) environment variable.  The canonical \
            plan is echoed on stderr so any chaos run is replayable.")
 

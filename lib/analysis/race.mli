@@ -32,6 +32,13 @@ type result = {
       (** [Truncated _] when the scan covered only a reachable prefix *)
 }
 
+val observer : Step.ctx -> (Config.t -> unit) * (unit -> RaceSet.t)
+(** [observer ctx] is the pair scan as an exploration observer: a hook
+    for {!Cobegin_explore.Space.Kernel}'s [on_pop] that records the
+    co-enabled conflicting pairs of every non-error configuration it is
+    shown, and a reader of the races recorded so far.  Hooked into a
+    complete full exploration it finds exactly {!find}'s races. *)
+
 val find :
   ?max_configs:int ->
   ?budget:Budget.t ->
@@ -39,9 +46,11 @@ val find :
   Step.ctx ->
   result
 (** Scan every reachable configuration for co-enabled conflicting
-    pairs.  At budget exhaustion the scan finishes the configurations
-    already discovered and reports the races of that prefix.  [probe]
-    is ticked once per worklist pop. *)
+    pairs, in an exploration of its own (fault site [races.pop]).  The
+    budget counts fired transitions like every engine's.  At budget
+    exhaustion the scan also covers the configurations already queued
+    and reports the races of that prefix.  [probe] is ticked once per
+    worklist pop. *)
 
 val pp_race : Format.formatter -> race -> unit
 val pp : Format.formatter -> RaceSet.t -> unit

@@ -56,6 +56,7 @@ let known_sites =
     "races.pop";
     "checkpoint.pop";
     "checkpoint.save";
+    "trace.pop";
     "interfere.iter";
   ]
 

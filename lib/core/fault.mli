@@ -26,9 +26,8 @@
 
     Site catalog: [pipeline.<stage>] (one per pipeline stage, hit just
     before the stage body), [space.pop], [sleep.pop], [reach.pop],
-    [races.pop], [checkpoint.pop], [checkpoint.save] (once per worklist
-    pop /
-    checkpoint write), [interfere.iter] (once per interference fixpoint
+    [races.pop], [checkpoint.pop], [trace.pop], [checkpoint.save] (once
+    per worklist pop / checkpoint write), [interfere.iter] (once per interference fixpoint
     round), and [parallel.worker<d>] (once per pop of worker
     domain [d]).  Telemetry: injected faults count into the
     [fault.crashes] / [fault.delays] / [fault.ooms] / [fault.kills]

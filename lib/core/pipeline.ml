@@ -254,24 +254,46 @@ let empty_log =
   { Event.accesses = []; allocs = []; precise_pstrings = true }
 
 (* Run the chosen engine under [budget], returning stats, the unified
-   log, and the completion status.  [spans] reaches the parallel
-   engine so each worker domain records its own trace lane. *)
+   log, the completion status and the races the exploration observed,
+   if it carried the scan.  [spans] reaches the parallel engine so each
+   worker domain records its own trace lane. *)
 let run_engine ~budget ?probe ?spans (opts : options) prog :
-    exploration_stats * Event.log * Budget.status =
+    exploration_stats * Event.log * Budget.status * Race.RaceSet.t option =
   match opts.engine with
   | Concrete_full | Concrete_stubborn ->
       let ctx = Step.make_ctx ~model:opts.memory_model prog in
-      let result =
+      let result, races =
         match opts.engine with
         | Concrete_full ->
-            (* jobs > 1 runs the multi-domain engine; jobs <= 1 is the
-               sequential engine, byte-for-byte.  The stubborn strategy
-               keeps mutable selection state, so it stays sequential
-               whatever [jobs] says. *)
-            if opts.jobs > 1 then
-              Parallel.full ~jobs:opts.jobs ~budget ?probe ?spans ctx
-            else Space.full ~budget ?probe ctx
-        | _ -> Stubborn.explore ~budget ?probe ctx
+            (* With [find_races] the race scan observes this
+               exploration instead of running its own: one scanner per
+               worker, merged after the join.  jobs <= 1 is the
+               sequential engine, byte-for-byte. *)
+            let scanners =
+              Array.init
+                (if opts.find_races then max 1 opts.jobs else 0)
+                (fun _ -> Race.observer ctx)
+            in
+            let engine w =
+              let eng = Space.engine ctx ~expand:(Step.enabled_actions ctx) in
+              if opts.find_races then { eng with on_pop = fst scanners.(w) }
+              else eng
+            in
+            let result =
+              Parallel.run ~jobs:opts.jobs ~budget ?probe ?spans ctx ~engine
+            in
+            let union acc (_, races) = Race.RaceSet.union acc (races ()) in
+            let races =
+              if opts.find_races then
+                Some (Array.fold_left union Race.RaceSet.empty scanners)
+              else None
+            in
+            (result, races)
+        | _ ->
+            (* The stubborn strategy keeps mutable selection state, so
+               it stays sequential whatever [jobs] says; it does not
+               visit every configuration, so races need their own pass. *)
+            (Stubborn.explore ~budget ?probe ctx, None)
       in
       ( {
           configurations = result.Space.stats.Space.configurations;
@@ -282,7 +304,8 @@ let run_engine ~budget ?probe ?spans (opts : options) prog :
           errors = result.Space.stats.Space.errors;
         },
         Event.of_concrete result.Space.log,
-        result.Space.status )
+        result.Space.status,
+        races )
   | Abstract (domain, folding) ->
       let summary = Analyzer.analyze ~domain ~folding ~budget ?probe prog in
       ( {
@@ -294,7 +317,8 @@ let run_engine ~budget ?probe ?spans (opts : options) prog :
           errors = summary.Analyzer.errors;
         },
         Event.of_abstract summary.Analyzer.log,
-        summary.Analyzer.status )
+        summary.Analyzer.status,
+        None )
 
 (* [stage_hook] is an instrumentation/fault-injection seam: it is called
    with the stage name inside each guard, so tests can force a stage to
@@ -461,7 +485,7 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
       errors = 0;
     }
   in
-  let stats, log, status =
+  let stats, log, status, observed_races =
     let ladder =
       (if options.jobs > 1 then [ options; { options with jobs = 1 } ]
        else [ options ])
@@ -491,8 +515,8 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
                   ( empty_stats,
                     empty_log,
                     Budget.Truncated
-                      (Budget.Crash
-                         ("exploration: " ^ Printexc.to_string e)) )
+                      (Budget.Crash ("exploration: " ^ Printexc.to_string e)),
+                    None )
               | Retry | Degrade_jobs _ ->
                   Metrics.incr m_retries;
                   go (attempt + 1) rest))
@@ -525,8 +549,13 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
               ~default:
                 { Race.races = Race.RaceSet.empty; status = Budget.Complete }
               (fun () ->
-                Race.find ~budget ?probe
-                  (Step.make_ctx ~model:options.memory_model prog))
+                (* the races the exploration observed, when it carried
+                   the scan and returned; else a pass of its own *)
+                match observed_races with
+                | Some races -> { Race.races; status }
+                | None ->
+                    Race.find ~budget ?probe
+                      (Step.make_ctx ~model:options.memory_model prog))
           in
           (* a races give-up must not masquerade as a complete scan:
              tag the status with the crash instead of the default *)

@@ -1,10 +1,10 @@
 (* Checkpointed state-space generation (see checkpoint.mli).
 
-   The engine is Space.explore's BFS loop, iteration for iteration —
-   the determinism contract depends on it: a pop-count cadence picks
-   the same save points on every run, and a resumed run replays the
-   exact suffix of an uninterrupted one, so the final counts are
-   identical.
+   The engine is Space.full's kernel run with a save hooked on the
+   iteration boundary — the determinism contract depends on it: a
+   pop-count cadence picks the same save points on every run, and a
+   resumed run replays the exact suffix of an uninterrupted one, so the
+   final counts are identical.
 
    On-disk format: a magic string, then a Marshal'd header (format
    version + full-width hash of the marshaled program), then a
@@ -20,7 +20,6 @@
 
 open Cobegin_semantics
 module Metrics = Cobegin_obs.Metrics
-module Probe = Cobegin_obs.Probe
 module Journal = Cobegin_obs.Journal
 
 let m_saves = Metrics.counter "checkpoint.saves"
@@ -43,24 +42,21 @@ let magic = "COBEGIN-CKPT\n"
 
 (* Version 2: configurations may carry per-process store buffers
    (TSO/PSO), and the identity hash binds the memory model alongside
-   the program.  Version-1 files are refused with [Corrupt]. *)
-let version = 2
+   the program.  Version 3: the terminals, counters and event log are
+   the exploration kernel's accumulator record.  Older files are
+   refused with [Corrupt]. *)
+let version = 3
 
 type header = { hd_version : int; hd_program_hash : int }
 
-(* The in-flight state of the BFS between two pops: everything
-   Space.explore keeps in locals. *)
+(* The in-flight state of the BFS between two pops: the kernel's run
+   state, its visited table and queue flattened to lists. *)
 type payload = {
   ck_pools : Intern.snapshot;
   ck_visited : Config.digest list;
   ck_frontier : Config.t list; (* queue front first *)
-  ck_finals : Config.t list;
-  ck_deadlocks : Config.t list;
-  ck_errors : Config.t list;
-  ck_transitions : int;
+  ck_acc : Step.events Space.Kernel.acc;
   ck_max_frontier : int;
-  ck_accesses : Step.access list list; (* reverse firing order *)
-  ck_allocs : Step.alloc list list;
 }
 
 (* The identity a checkpoint is bound to: resuming under a different
@@ -71,19 +67,10 @@ let program_hash (ctx : Step.ctx) =
     (Cobegin_hash.hash_string (Marshal.to_string ctx.Step.prog []))
     (Cobegin_hash.hash_string (Step.model_name ctx.Step.model))
 
-type live = {
-  visited : unit Config.Digest_tbl.t;
-  queue : Config.t Queue.t;
-  mutable finals : Config.t list;
-  mutable deadlocks : Config.t list;
-  mutable errors : Config.t list;
-  mutable transitions : int;
-  mutable max_frontier : int;
-  mutable accesses : Step.access list list;
-  mutable allocs : Step.alloc list list;
-}
+(* The kernel's run state is the live state of a checkpointed run. *)
+type live = (unit, Step.events) Space.Kernel.run
 
-let save ~path ctx live =
+let save ~path ctx (live : live) =
   Fault.hit "checkpoint.save";
   let t0 = Unix.gettimeofday () in
   let payload =
@@ -91,14 +78,9 @@ let save ~path ctx live =
       ck_pools = Intern.snapshot (Intern.global ());
       ck_visited =
         Config.Digest_tbl.fold (fun d () acc -> d :: acc) live.visited [];
-      ck_frontier = List.of_seq (Queue.to_seq live.queue);
-      ck_finals = live.finals;
-      ck_deadlocks = live.deadlocks;
-      ck_errors = live.errors;
-      ck_transitions = live.transitions;
+      ck_frontier = List.of_seq (Seq.map fst (Queue.to_seq live.queue));
+      ck_acc = live.acc;
       ck_max_frontier = live.max_frontier;
-      ck_accesses = live.accesses;
-      ck_allocs = live.allocs;
     }
   in
   let tmp = path ^ ".tmp" in
@@ -124,7 +106,7 @@ let save ~path ctx live =
         ("path", Journal.Str path);
         ("configurations", Journal.Int (List.length payload.ck_visited));
         ("frontier", Journal.Int (List.length payload.ck_frontier));
-        ("transitions", Journal.Int payload.ck_transitions);
+        ("transitions", Journal.Int payload.ck_acc.transitions);
       ]
 
 let load_payload ~path ctx : payload =
@@ -154,24 +136,6 @@ let load_payload ~path ctx : payload =
       try (Marshal.from_channel ic : payload)
       with End_of_file | Failure _ -> raise (Corrupt "truncated payload"))
 
-let fresh ctx =
-  let visited = Config.Digest_tbl.create 1024 in
-  let queue = Queue.create () in
-  let c0 = Step.init ctx in
-  Config.Digest_tbl.replace visited (Config.digest c0) ();
-  Queue.add c0 queue;
-  {
-    visited;
-    queue;
-    finals = [];
-    deadlocks = [];
-    errors = [];
-    transitions = 0;
-    max_frontier = 0;
-    accesses = [];
-    allocs = [];
-  }
-
 let live_of_payload (p : payload) =
   let t0 = Unix.gettimeofday () in
   let rm = Intern.restore (Intern.global ()) p.ck_pools in
@@ -189,7 +153,7 @@ let live_of_payload (p : payload) =
     (fun d -> Config.Digest_tbl.replace visited (remap_digest d) ())
     p.ck_visited;
   let queue = Queue.create () in
-  List.iter (fun c -> Queue.add c queue) p.ck_frontier;
+  List.iter (fun c -> Queue.add (c, ()) queue) p.ck_frontier;
   Metrics.incr m_restores;
   Metrics.observe h_restore_ms
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1000.));
@@ -198,130 +162,61 @@ let live_of_payload (p : payload) =
       [
         ("configurations", Journal.Int (List.length p.ck_visited));
         ("frontier", Journal.Int (List.length p.ck_frontier));
-        ("transitions", Journal.Int p.ck_transitions);
+        ("transitions", Journal.Int p.ck_acc.transitions);
       ];
-  {
-    visited;
-    queue;
-    finals = p.ck_finals;
-    deadlocks = p.ck_deadlocks;
-    errors = p.ck_errors;
-    transitions = p.ck_transitions;
-    max_frontier = p.ck_max_frontier;
-    accesses = p.ck_accesses;
-    allocs = p.ck_allocs;
-  }
+  ({
+     visited;
+     queue;
+     acc = p.ck_acc;
+     max_frontier = p.ck_max_frontier;
+     pops = 0;
+     stop = None;
+   }
+    : live)
 
-(* Space.explore's loop with a save every [cadence.every_configs] pops
-   (and every [every_s] seconds, when set).  The save sits at the
-   iteration boundary, before the pop it precedes, so "resume from the
-   last save" replays whole iterations — never half-fired expansions. *)
+(* The full engine with a save every [cadence.every_configs] pops (and
+   every [every_s] seconds, when set) at the kernel's iteration
+   boundary — before the pop it precedes, so "resume from the last
+   save" replays whole iterations, never half-fired expansions.  A
+   truncated run saves its pure in-flight state at the stop, before
+   the drain: the drain classifies the frontier without popping it,
+   and a resumed run will re-classify those same configurations
+   itself. *)
 let run ?(max_configs = 1_000_000) ?budget ?probe ~cadence ~path ctx live :
     Space.result =
   let budget =
     match budget with Some b -> b | None -> Budget.create ~max_configs ()
   in
-  let stop = ref None in
   let since_save = ref 0 in
   let last_save = ref (Unix.gettimeofday ()) in
-  while !stop = None && not (Queue.is_empty live.queue) do
-    match
-      Budget.check budget
-        ~configs:(Config.Digest_tbl.length live.visited)
-        ~transitions:live.transitions
-    with
-    | Some r -> stop := Some r
-    | None -> (
-        let time_due =
-          match cadence.every_s with
-          | Some s -> Unix.gettimeofday () -. !last_save >= s
-          | None -> false
-        in
-        (if !since_save >= cadence.every_configs || time_due then begin
-           save ~path ctx live;
-           since_save := 0;
-           last_save := Unix.gettimeofday ()
-         end);
-        incr since_save;
-        Fault.hit "checkpoint.pop";
-        (match probe with
-        | None -> ()
-        | Some p ->
-            Probe.tick p
-              ~configurations:(Config.Digest_tbl.length live.visited)
-              ~frontier:(Queue.length live.queue)
-              ~transitions:live.transitions);
-        live.max_frontier <- max live.max_frontier (Queue.length live.queue);
-        let c = Queue.pop live.queue in
-        if Config.is_error c then live.errors <- c :: live.errors
-        else if Config.all_terminated c then live.finals <- c :: live.finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> live.deadlocks <- c :: live.deadlocks
-          | _ ->
-              let rec fire_each = function
-                | [] -> ()
-                | a :: rest ->
-                    live.transitions <- live.transitions + 1;
-                    let c', evs = Step.fire_action ctx c a in
-                    live.accesses <- evs.Step.accesses :: live.accesses;
-                    live.allocs <- evs.Step.allocs :: live.allocs;
-                    let d' = Config.digest c' in
-                    (if Config.Digest_tbl.mem live.visited d' then ()
-                     else
-                       match
-                         Budget.config_guard budget
-                           ~configs:(Config.Digest_tbl.length live.visited)
-                       with
-                       | Some r -> stop := Some r
-                       | None ->
-                           Config.Digest_tbl.replace live.visited d' ();
-                           Queue.add c' live.queue);
-                    if !stop = None then fire_each rest
-              in
-              fire_each (Step.enabled_actions ctx c))
-  done;
-  (* Save the pure in-flight state on truncation — the run can be
-     resumed later with a larger budget.  Before the drain: the drain
-     classifies the frontier without popping it, and a resumed run
-     will re-classify those same configurations itself. *)
-  if !stop <> None then save ~path ctx live;
-  let finals = ref live.finals
-  and deadlocks = ref live.deadlocks
-  and errors = ref live.errors in
-  if !stop <> None then
-    Queue.iter
-      (fun c ->
-        if Config.is_error c then errors := c :: !errors
-        else if Config.all_terminated c then finals := c :: !finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> deadlocks := c :: !deadlocks
-          | _ -> ())
-      live.queue;
-  {
-    Space.status = Budget.status_of !stop;
-    stats =
-      {
-        Space.configurations = Config.Digest_tbl.length live.visited;
-        transitions = live.transitions;
-        max_frontier = live.max_frontier;
-        finals = List.length !finals;
-        deadlocks = List.length !deadlocks;
-        errors = List.length !errors;
-      };
-    final_configs = !finals;
-    deadlock_configs = !deadlocks;
-    error_configs = !errors;
-    log =
-      {
-        Step.accesses = List.concat (List.rev live.accesses);
-        Step.allocs = List.concat (List.rev live.allocs);
-      };
-  }
+  let on_boundary (st : live) =
+    if st.stop <> None then save ~path ctx st
+    else begin
+      let time_due =
+        match cadence.every_s with
+        | Some s -> Unix.gettimeofday () -. !last_save >= s
+        | None -> false
+      in
+      if !since_save >= cadence.every_configs || time_due then begin
+        save ~path ctx st;
+        since_save := 0;
+        last_save := Unix.gettimeofday ()
+      end;
+      incr since_save
+    end
+  in
+  Space.Kernel.run ?probe ~budget
+    {
+      (Space.engine ctx ~expand:(Step.enabled_actions ctx)) with
+      site = "checkpoint.pop";
+      on_boundary;
+    }
+    live;
+  Space.result_of live
 
 let full ?max_configs ?budget ?probe ?(cadence = default_cadence) ~path ctx =
-  run ?max_configs ?budget ?probe ~cadence ~path ctx (fresh ctx)
+  run ?max_configs ?budget ?probe ~cadence ~path ctx
+    (Space.Kernel.start (Step.init ctx) ())
 
 let resume ?max_configs ?budget ?probe ?(cadence = default_cadence) ~path ctx
     =

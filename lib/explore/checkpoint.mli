@@ -1,8 +1,8 @@
 (** Checkpointed state-space generation: {!Space.full} that survives
     being killed.
 
-    The engine is the sequential full-interleaving BFS, iteration for
-    iteration, plus a cadenced serialization of the in-flight state —
+    The engine is the sequential full-interleaving kernel run of
+    {!Space.full}, plus a cadenced serialization of its run state —
     visited set (as interned digests plus a snapshot of the intern
     pools behind them, see {!Cobegin_semantics.Intern.snapshot}),
     frontier, terminal configurations, transition counter and event
@@ -22,9 +22,10 @@
     produced it (a full-width hash of the marshaled AST, combined with
     the model name, is stored in the header); resuming under a
     different program or model, a different format version, or a torn
-    file raises {!Corrupt}.  Format version 2: configurations may carry
-    per-process store buffers (TSO/PSO) and the identity hash binds the
-    model — version-1 files are refused.  Telemetry: [checkpoint.saves] /
+    file raises {!Corrupt}.  Format version 3: the payload is the
+    exploration kernel's run state (configurations may carry per-process
+    store buffers, and the identity hash binds the model) — files of
+    earlier versions are refused.  Telemetry: [checkpoint.saves] /
     [checkpoint.restores] counters, [checkpoint.save_ms] /
     [checkpoint.restore_ms] histograms. *)
 

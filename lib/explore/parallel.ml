@@ -77,48 +77,19 @@ let rec atomic_max cell v =
   if v > cur && not (Atomic.compare_and_set cell cur v) then
     atomic_max cell v
 
-(* Per-worker accumulators: mutated only by the owning domain, read by
-   the main domain after the join. *)
-type acc = {
-  mutable finals : Config.t list;
-  mutable deadlocks : Config.t list;
-  mutable errors : Config.t list;
-  mutable evlogs : Step.events list; (* reverse firing order *)
-}
-
-let new_acc () = { finals = []; deadlocks = []; errors = []; evlogs = [] }
-
-(* Total order on digests, for schedule-independent terminal lists.
-   Compares the flat int tuple; two digests compare equal iff the
-   configurations have equal canonical representations. *)
-let digest_compare (a : Config.digest) (b : Config.digest) =
-  let c = Int.compare a.Config.d_store b.Config.d_store in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.Config.d_counters b.Config.d_counters in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.Config.d_error b.Config.d_error in
-      if c <> 0 then c
-      else
-        let pa = a.Config.d_procs and pb = b.Config.d_procs in
-        let c = Int.compare (Array.length pa) (Array.length pb) in
-        if c <> 0 then c
-        else
-          let rec go i =
-            if i >= Array.length pa then 0
-            else
-              let c = Int.compare pa.(i) pb.(i) in
-              if c <> 0 then c else go (i + 1)
-          in
-          go 0
-
+(* Terminal lists in a schedule-independent order: by digest, whose
+   flat int components compare equal iff the configurations have equal
+   canonical representations. *)
 let sort_by_digest cs =
-  List.sort (fun a b -> digest_compare (Config.digest a) (Config.digest b)) cs
+  let key c =
+    let d = Config.digest c in
+    (d.Config.d_store, d.Config.d_counters, d.Config.d_error, d.Config.d_procs)
+  in
+  List.map snd (List.sort compare (List.map (fun c -> (key c, c)) cs))
 
-let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
-    ~expand : Space.result =
-  if jobs <= 1 then Space.explore ~max_configs ?budget ?probe ctx ~expand
+let run ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx ~engine :
+    Space.result =
+  if jobs <= 1 then Space.run ~max_configs ?budget ?probe ctx (engine 0) ()
   else begin
     let budget =
       match budget with
@@ -133,7 +104,10 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
     let queues =
       Array.init jobs (fun _ -> { q_lock = Mutex.create (); q = Queue.create () })
     in
-    let accs = Array.init jobs (fun _ -> new_acc ()) in
+    (* Per-worker engines and accumulators: mutated only by the owning
+       domain, read by the main domain after the join. *)
+    let engines = Array.init jobs engine in
+    let accs = Array.init jobs (fun _ -> Worklist.new_acc ()) in
     let admitted = Atomic.make 0 in
     let transitions = Atomic.make 0 in
     let pending = Atomic.make 0 in (* enqueued + in-process *)
@@ -196,48 +170,35 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
                     next ()
                   end)
       in
-      let process c =
-        if Config.is_error c then acc.errors <- c :: acc.errors
-        else if Config.all_terminated c then acc.finals <- c :: acc.finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> acc.deadlocks <- c :: acc.deadlocks
-          | _ ->
-              let rec fire_each = function
-                | [] -> ()
-                | a :: rest ->
-                    Atomic.incr transitions;
-                    Metrics.incr m_transitions;
-                    let c', evs = Step.fire_action ctx c a in
-                    acc.evlogs <- evs :: acc.evlogs;
-                    let d' = Config.digest c' in
-                    let shard = shard_of shards d' in
-                    let verdict =
-                      Mutex.protect shard.s_lock (fun () ->
-                          if Config.Digest_tbl.mem shard.s_tbl d' then `Dup
-                          else
-                            match
-                              Budget.config_guard budget
-                                ~configs:(Atomic.get admitted)
-                            with
-                            | Some r -> `Stop r
-                            | None ->
-                                Config.Digest_tbl.replace shard.s_tbl d' ();
-                                Atomic.incr admitted;
-                                `Fresh)
-                    in
-                    (match verdict with
-                    | `Dup -> Metrics.incr m_digest_hits
-                    | `Stop r -> latch r
-                    | `Fresh ->
-                        Metrics.incr m_admitted;
-                        Atomic.incr pending;
-                        atomic_max max_frontier
-                          (Atomic.fetch_and_add queued 1 + 1);
-                        wq_push my c');
-                    if Atomic.get stop = None then fire_each rest
-              in
-              fire_each (expand c)
+      (* Sharded admission, called once per fired transition; [false]
+         stops the expansion once any domain latched a truncation. *)
+      let admit c' () =
+        Atomic.incr transitions;
+        Metrics.incr m_transitions;
+        let d' = Config.digest c' in
+        let shard = shard_of shards d' in
+        let verdict =
+          Mutex.protect shard.s_lock (fun () ->
+              if Config.Digest_tbl.mem shard.s_tbl d' then `Dup
+              else
+                match
+                  Budget.config_guard budget ~configs:(Atomic.get admitted)
+                with
+                | Some r -> `Stop r
+                | None ->
+                    Config.Digest_tbl.replace shard.s_tbl d' ();
+                    Atomic.incr admitted;
+                    `Fresh)
+        in
+        (match verdict with
+        | `Dup -> Metrics.incr m_digest_hits
+        | `Stop r -> latch r
+        | `Fresh ->
+            Metrics.incr m_admitted;
+            Atomic.incr pending;
+            atomic_max max_frontier (Atomic.fetch_and_add queued 1 + 1);
+            wq_push my c');
+        Atomic.get stop = None
       in
       let rec loop () =
         if not (stopping ()) then begin
@@ -259,7 +220,7 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
               | None -> ()
               | Some c ->
                   Fault.worker_pop w;
-                  process c;
+                  Space.Kernel.expand_one engines.(w) acc ~admit c ();
                   Atomic.decr pending;
                   loop ())
         end
@@ -309,36 +270,22 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
              })
           bt
     | None -> ());
-    let finals = ref [] and deadlocks = ref [] and errors = ref [] in
-    Array.iter
-      (fun a ->
-        finals := a.finals @ !finals;
-        deadlocks := a.deadlocks @ !deadlocks;
-        errors := a.errors @ !errors)
-      accs;
-    (* Truncation drain, mirroring Space.explore: classify the
+    (* Truncation drain, mirroring the sequential kernel: classify the
        admitted-but-unpopped frontier so a Truncated report doesn't
        undercount terminals.  Each configuration was admitted (and so
        enqueued) exactly once, hence counted at most once here. *)
     if Atomic.get stop <> None then
-      Array.iter
-        (fun wq ->
+      Array.iteri
+        (fun w wq ->
           Queue.iter
-            (fun c ->
-              if Config.is_error c then errors := c :: !errors
-              else if Config.all_terminated c then finals := c :: !finals
-              else
-                match Step.enabled_actions ctx c with
-                | [] -> deadlocks := c :: !deadlocks
-                | _ -> ())
+            (fun c -> ignore (Space.Kernel.classify engines.(w) accs.(w) c))
             wq.q)
         queues;
-    let finals = sort_by_digest !finals
-    and deadlocks = sort_by_digest !deadlocks
-    and errors = sort_by_digest !errors in
-    let logs =
-      List.concat_map (fun a -> List.rev a.evlogs) (Array.to_list accs)
-    in
+    let gather f = List.concat_map f (Array.to_list accs) in
+    let finals = sort_by_digest (gather (fun a -> a.Worklist.finals))
+    and deadlocks = sort_by_digest (gather (fun a -> a.deadlocks))
+    and errors = sort_by_digest (gather (fun a -> a.errors)) in
+    let logs = gather (fun a -> List.rev a.log) in
     {
       Space.status = Budget.status_of (Atomic.get stop);
       stats =
@@ -361,6 +308,10 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
     }
   end
 
+let explore ?max_configs ?budget ?probe ?spans ~jobs ctx ~expand =
+  run ?max_configs ?budget ?probe ?spans ~jobs ctx ~engine:(fun _ ->
+      Space.engine ctx ~expand)
+
 let full ?max_configs ?budget ?probe ?spans ~jobs ctx =
-  explore ?max_configs ?budget ?probe ?spans ~jobs ctx ~expand:(fun c ->
-      Step.enabled_actions ctx c)
+  explore ?max_configs ?budget ?probe ?spans ~jobs ctx
+    ~expand:(Step.enabled_actions ctx)

@@ -39,6 +39,24 @@ exception
     {!explore}/{!full} after the join; partial results are discarded
     (a crashed expansion cannot vouch for them). *)
 
+val run :
+  ?max_configs:int ->
+  ?budget:Budget.t ->
+  ?probe:Cobegin_obs.Probe.t ->
+  ?spans:Cobegin_obs.Span.t ->
+  jobs:int ->
+  Step.ctx ->
+  engine:(int -> (Step.action, unit, Step.events) Space.Kernel.engine) ->
+  Space.result
+(** [run ~jobs ctx ~engine]: worker [w] pops with
+    {!Space.Kernel.expand_one} under [engine w] (built once, before the
+    spawn) and admits through the sharded table; the engine's site,
+    counters, revisit rule and [on_boundary] belong to the sequential
+    loop and are unused.  A worker's [on_pop] runs on its own domain —
+    give each worker its own observer state — and also sees its queue's
+    share of the truncation drain, after the join.  [jobs <= 1] runs
+    [engine 0] through {!Space.run}. *)
+
 val explore :
   ?max_configs:int ->
   ?budget:Budget.t ->

@@ -12,24 +12,6 @@
        the input of the section-5 analyses.  *)
 
 open Cobegin_semantics
-module Metrics = Cobegin_obs.Metrics
-module Probe = Cobegin_obs.Probe
-module Journal = Cobegin_obs.Journal
-
-(* Journal breadcrumbs are sampled — one Debug event per
-   [journal_every] pops — so a flight-recorder dump shows where the
-   engine was without the journal's lock ever entering the hot path
-   more than ~0.4% of iterations. *)
-let journal_every = 256
-
-(* Telemetry handles: process-global, shared with Sleep (same loop
-   shape) and no-ops (one branch) while telemetry is disabled. *)
-let m_expansions = Metrics.counter "space.expansions"
-let m_transitions = Metrics.counter "space.transitions"
-let m_digest_hits = Metrics.counter "space.digest_hits"
-let m_admitted = Metrics.counter "space.admitted"
-let g_frontier = Metrics.gauge "space.frontier"
-let g_visited = Metrics.gauge "space.visited"
 
 type stats = {
   configurations : int;
@@ -68,135 +50,81 @@ module ConfigTbl = struct
   let find_digest = Config.Digest_tbl.find_opt
 end
 
+(* The exploration kernel over configurations, keyed by digest. *)
+module Kernel = Worklist.Make (struct
+  type t = Config.t
+
+  module Tbl = Config.Digest_tbl
+
+  let key = Config.digest
+end)
+
+(* Telemetry handles: the space.* family, shared with Checkpoint. *)
+let counters = Worklist.counters "space"
+
+let shape ctx c : Worklist.shape =
+  if Config.is_error c then Error
+  else if Config.all_terminated c then Final
+  else match Step.enabled_actions ctx c with [] -> Deadlock | _ -> Live
+
+let engine ctx ~expand : (Step.action, unit, Step.events) Kernel.engine =
+  {
+    site = "space.pop";
+    name = "space";
+    counters = Some counters;
+    shape = shape ctx;
+    expand = (fun c () -> expand c);
+    fire = Step.fire_action ctx;
+    reached_with = (fun _ -> ());
+    revisit = (fun ~recorded:() () -> None);
+    keep_log = true;
+    on_pop = ignore;
+    on_fire = ignore;
+    on_boundary = ignore;
+  }
+
+let result_of (st : (_, Step.events) Kernel.run) =
+  let acc = st.acc in
+  let log = List.rev acc.log in
+  {
+    status = Budget.status_of st.stop;
+    stats =
+      {
+        configurations = Config.Digest_tbl.length st.visited;
+        transitions = acc.transitions;
+        max_frontier = st.max_frontier;
+        finals = List.length acc.finals;
+        deadlocks = List.length acc.deadlocks;
+        errors = List.length acc.errors;
+      };
+    final_configs = acc.finals;
+    deadlock_configs = acc.deadlocks;
+    error_configs = acc.errors;
+    log =
+      {
+        Step.accesses = List.concat_map (fun e -> e.Step.accesses) log;
+        Step.allocs = List.concat_map (fun e -> e.Step.allocs) log;
+      };
+  }
+
+let run ?(max_configs = 1_000_000) ?budget ?probe ctx eng v0 =
+  let budget =
+    match budget with Some b -> b | None -> Budget.create ~max_configs ()
+  in
+  let st = Kernel.start (Step.init ctx) v0 in
+  Kernel.run ?probe ~budget eng st;
+  result_of st
+
 (* [expand c] returns the actions to fire at [c]; it must return a
    subset of the enabled actions, and must be non-empty whenever some
    action is enabled.  Exhausting the budget stops the generation
    cleanly: everything visited so far is returned, tagged truncated. *)
-let explore ?(max_configs = 1_000_000) ?budget ?probe ctx ~expand : result =
-  let budget =
-    match budget with Some b -> b | None -> Budget.create ~max_configs ()
-  in
-  let visited = ConfigTbl.create 1024 in
-  let queue = Queue.create () in
-  let finals = ref [] and deadlocks = ref [] and errors = ref [] in
-  let transitions = ref 0 and max_frontier = ref 0 in
-  let accesses = ref [] and allocs = ref [] in
-  let stop = ref None in
-  let pops = ref 0 in
-  let c0 = Step.init ctx in
-  ConfigTbl.add visited c0 ();
-  Queue.add c0 queue;
-  while !stop = None && not (Queue.is_empty queue) do
-    match
-      Budget.check budget ~configs:(ConfigTbl.length visited)
-        ~transitions:!transitions
-    with
-    | Some r -> stop := Some r
-    | None -> (
-        Fault.hit "space.pop";
-        incr pops;
-        if Journal.enabled () && !pops mod journal_every = 0 then
-          Journal.emit ~level:Journal.Debug "space.progress"
-            [
-              ("pops", Journal.Int !pops);
-              ("configurations", Journal.Int (ConfigTbl.length visited));
-              ("frontier", Journal.Int (Queue.length queue));
-              ("transitions", Journal.Int !transitions);
-            ];
-        (match probe with
-        | None -> ()
-        | Some p ->
-            Probe.tick p
-              ~configurations:(ConfigTbl.length visited)
-              ~frontier:(Queue.length queue) ~transitions:!transitions);
-        Metrics.incr m_expansions;
-        if Metrics.enabled () then begin
-          Metrics.set g_frontier (Queue.length queue);
-          Metrics.set g_visited (ConfigTbl.length visited)
-        end;
-        max_frontier := max !max_frontier (Queue.length queue);
-        let c = Queue.pop queue in
-        if Config.is_error c then errors := c :: !errors
-        else if Config.all_terminated c then finals := c :: !finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> deadlocks := c :: !deadlocks
-          | _ ->
-              (* break out of the expansion as soon as the budget stops
-                 the run: the remaining successors must not fire, or
-                 transitions and event logs inflate past the stop *)
-              let rec fire_each = function
-                | [] -> ()
-                | a :: rest ->
-                    incr transitions;
-                    Metrics.incr m_transitions;
-                    let c', evs = Step.fire_action ctx c a in
-                    accesses := evs.Step.accesses :: !accesses;
-                    allocs := evs.Step.allocs :: !allocs;
-                    let d' = Config.digest c' in
-                    (if ConfigTbl.mem_digest visited d' then
-                       Metrics.incr m_digest_hits
-                     else
-                       match
-                         Budget.config_guard budget
-                           ~configs:(ConfigTbl.length visited)
-                       with
-                       | Some r -> stop := Some r
-                       | None ->
-                           Metrics.incr m_admitted;
-                           ConfigTbl.add_digest visited d' ();
-                           Queue.add c' queue);
-                    if !stop = None then fire_each rest
-              in
-              fire_each (expand c))
-  done;
-  (* Budget truncation: the frontier still holds admitted configurations
-     that were never popped, so without this pass a Truncated report
-     undercounts finals/deadlocks/errors — every one of them counted as
-     a configuration but none as a terminal.  Classify them (no
-     expansion, no new transitions, no new admissions). *)
-  if !stop <> None then
-    Queue.iter
-      (fun c ->
-        if Config.is_error c then errors := c :: !errors
-        else if Config.all_terminated c then finals := c :: !finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> deadlocks := c :: !deadlocks
-          | _ -> ())
-      queue;
-  if Journal.enabled () then
-    Journal.emit "space.done"
-      [
-        ("configurations", Journal.Int (ConfigTbl.length visited));
-        ("transitions", Journal.Int !transitions);
-        ("complete", Journal.Bool (!stop = None));
-      ];
-  {
-    status = Budget.status_of !stop;
-    stats =
-      {
-        configurations = ConfigTbl.length visited;
-        transitions = !transitions;
-        max_frontier = !max_frontier;
-        finals = List.length !finals;
-        deadlocks = List.length !deadlocks;
-        errors = List.length !errors;
-      };
-    final_configs = !finals;
-    deadlock_configs = !deadlocks;
-    error_configs = !errors;
-    log =
-      {
-        Step.accesses = List.concat (List.rev !accesses);
-        Step.allocs = List.concat (List.rev !allocs);
-      };
-  }
+let explore ?max_configs ?budget ?probe ctx ~expand : result =
+  run ?max_configs ?budget ?probe ctx (engine ctx ~expand) ()
 
 (* Ordinary (full interleaving) generation. *)
 let full ?max_configs ?budget ?probe ctx =
-  explore ?max_configs ?budget ?probe ctx ~expand:(fun c ->
-      Step.enabled_actions ctx c)
+  explore ?max_configs ?budget ?probe ctx ~expand:(Step.enabled_actions ctx)
 
 (* Canonical set of final stores, for strategy comparisons.  Keyed on
    the hash-consed store id — an int compare per element instead of

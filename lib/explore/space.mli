@@ -48,11 +48,40 @@ module ConfigTbl : sig
   val find_digest : 'a t -> Config.digest -> 'a option
 end
 
-val journal_every : int
-(** Sampling period of the journal breadcrumbs: the engines emit one
-    Debug progress event per this many worklist pops (shared by the
-    Space-shaped loops in {!Sleep} and {!Checkpoint}), so an enabled
-    journal costs the ring lock on ~0.4% of iterations. *)
+(** {2 The kernel instance}
+
+    Every configuration engine is a {!Space.engine} variant run by
+    {!Worklist} over configurations keyed by digest. *)
+
+module Kernel :
+  Worklist.S with type state = Config.t and module Tbl = Config.Digest_tbl
+
+val shape : Step.ctx -> Config.t -> Worklist.shape
+(** Error, final (every process terminated), deadlock (nothing
+    enabled), or live. *)
+
+val engine :
+  Step.ctx ->
+  expand:(Config.t -> Step.action list) ->
+  (Step.action, unit, Step.events) Kernel.engine
+(** The plain generation engine: site [space.pop], the [space.*]
+    counters and journal events, the instrumentation log kept, no-op
+    hooks.  Variants are record updates of it. *)
+
+val run :
+  ?max_configs:int ->
+  ?budget:Budget.t ->
+  ?probe:Cobegin_obs.Probe.t ->
+  Step.ctx ->
+  ('a, 'v, Step.events) Kernel.engine ->
+  'v ->
+  result
+(** [run ctx eng v0] runs [eng] from the initial configuration,
+    recorded with visited value [v0], under [budget] (default: one
+    bounding the visited set at [max_configs], one million). *)
+
+val result_of : ('v, Step.events) Kernel.run -> result
+(** The result of a finished (complete or drained) run. *)
 
 val explore :
   ?max_configs:int ->

@@ -11,56 +11,52 @@ type witness = {
   explored : int;
 }
 
-module ConfigTbl = Space.ConfigTbl
-
+(* The kernel over processes (not flushes), with each configuration's
+   parent link as its visited value; the predicate observes pops, and
+   the drain of a budget-stopped search still tests the queued
+   frontier. *)
 let search ?(max_configs = 200_000) ctx ~(pred : Config.t -> bool) :
     witness option =
-  let visited = ConfigTbl.create 1024 in
-  let queue = Queue.create () in
-  (* parent map: configuration -> (parent, pid fired) *)
-  let parents : (Config.t * Value.pid) ConfigTbl.t = ConfigTbl.create 1024 in
-  let c0 = Step.init ctx in
-  let rebuild c =
-    let rec go c acc =
-      match ConfigTbl.find_opt parents c with
-      | None -> acc
-      | Some (parent, pid) -> go parent (pid :: acc)
-    in
-    go c []
+  let found = ref None in
+  let on_pop c =
+    if pred c then begin
+      found := Some c;
+      raise Exit
+    end
   in
-  let result = ref None in
-  ConfigTbl.add visited c0 ();
-  Queue.add c0 queue;
+  let st = Space.Kernel.start (Step.init ctx) None in
   (try
-     while not (Queue.is_empty queue) do
-       let c = Queue.pop queue in
-       if pred c then begin
-         result :=
-           Some
-             {
-               schedule = rebuild c;
-               target = c;
-               explored = ConfigTbl.length visited;
-             };
-         raise Exit
-       end;
-       if not (Config.is_error c) then
-         List.iter
-           (fun p ->
-             let c', _ = Step.fire ctx c p in
-             let d' = Config.digest c' in
-             if
-               (not (ConfigTbl.mem_digest visited d'))
-               && ConfigTbl.length visited < max_configs
-             then begin
-               ConfigTbl.add_digest visited d' ();
-               ConfigTbl.add_digest parents d' (c, p.Proc.pid);
-               Queue.add c' queue
-             end)
-           (Step.enabled_processes ctx c)
-     done
+     Space.Kernel.run ~budget:(Budget.create ~max_configs ())
+       {
+         site = "trace.pop";
+         name = "trace";
+         counters = None;
+         shape = Space.shape ctx;
+         expand =
+           (fun c _ -> List.map (fun p -> (c, p)) (Step.enabled_processes ctx c));
+         fire = (fun c (_, p) -> Step.fire ctx c p);
+         reached_with = (fun (c, p) -> Some (c, p.Proc.pid));
+         revisit = (fun ~recorded:_ _ -> None);
+         keep_log = false;
+         on_pop;
+         on_fire = ignore;
+         on_boundary = ignore;
+       }
+       st
    with Exit -> ());
-  !result
+  let rec schedule c acc =
+    match Config.Digest_tbl.find_opt st.visited (Config.digest c) with
+    | Some (Some (parent, pid)) -> schedule parent (pid :: acc)
+    | Some None | None -> acc
+  in
+  Option.map
+    (fun c ->
+      {
+        schedule = schedule c [];
+        target = c;
+        explored = Config.Digest_tbl.length st.visited;
+      })
+    !found
 
 (* Convenience: a schedule reaching an error configuration. *)
 let error_witness ?max_configs ctx =

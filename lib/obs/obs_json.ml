@@ -1,6 +1,6 @@
-(* Minimal JSON emission helpers shared by the telemetry sinks.  The
-   subsystem emits JSON but never parses it, so a Buffer-based escaper
-   is all we need — no external dependency. *)
+(* Minimal JSON emission helpers shared by the telemetry sinks and the
+   report: a Buffer-based escaper and an exact number renderer — no
+   external dependency. *)
 
 let escape_into buf s =
   Buffer.add_char buf '"';
@@ -23,10 +23,17 @@ let string s =
   escape_into buf s;
   Buffer.contents buf
 
-(* Floats must stay valid JSON: no [nan], no [inf], and always a
-   leading digit (printf %g already guarantees that). *)
+(* Floats are rendered exactly: an integral value as an integer (a
+   512 MiB heap cap is 67108864 words, a count stays a count), any
+   other finite value in the shortest form that parses back to the same
+   float, and NaN or an infinity — which JSON cannot express — as
+   [null]. *)
 let float f =
-  if Float.is_nan f then "0"
-  else if f = Float.infinity then "1e308"
-  else if f = Float.neg_infinity then "-1e308"
-  else Printf.sprintf "%.6g" f
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.0f" f
+  else
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    shortest 15

@@ -41,6 +41,14 @@ module MarkingTbl = Hashtbl.Make (struct
   let hash (m : Net.marking) = Cobegin_hash.hash_int_array m
 end)
 
+module Kernel = Worklist.Make (struct
+  type t = Net.marking
+
+  module Tbl = MarkingTbl
+
+  let key m = m
+end)
+
 (* Generic exploration parameterized by the expansion strategy: [expand m]
    returns the transitions to fire at marking [m] (all of them enabled).
    Budget exhaustion stops the generation cleanly: the partial marking
@@ -51,65 +59,34 @@ let explore ?(max_states = 10_000_000) ?budget net ~expand =
     | Some b -> b
     | None -> Budget.create ~max_configs:max_states ()
   in
-  let visited = MarkingTbl.create 1024 in
-  let queue = Queue.create () in
-  let edges = ref 0 in
-  let deadlocks = ref [] in
-  let max_frontier = ref 0 in
-  let stop = ref None in
-  let m0 = Net.initial_marking net in
-  MarkingTbl.add visited m0 ();
-  Queue.add m0 queue;
-  while !stop = None && not (Queue.is_empty queue) do
-    match
-      Budget.check budget ~configs:(MarkingTbl.length visited)
-        ~transitions:!edges
-    with
-    | Some r -> stop := Some r
-    | None ->
-        Fault.hit "reach.pop";
-        max_frontier := max !max_frontier (Queue.length queue);
-        let m = Queue.pop queue in
-        if Net.is_deadlock net m then deadlocks := m :: !deadlocks
-        else begin
-          (* stop firing the remaining transitions once the budget
-             stops the run (mirrors Space.explore) *)
-          let rec fire_each = function
-            | [] -> ()
-            | t :: rest ->
-                incr edges;
-                let m' = Net.fire m t in
-                (if not (MarkingTbl.mem visited m') then
-                   match
-                     Budget.config_guard budget
-                       ~configs:(MarkingTbl.length visited)
-                   with
-                   | Some r -> stop := Some r
-                   | None ->
-                       MarkingTbl.add visited m' ();
-                       Queue.add m' queue);
-                if !stop = None then fire_each rest
-          in
-          fire_each (expand m)
-        end
-  done;
-  (* Classify the admitted-but-unpopped frontier on truncation, so a
-     Truncated report doesn't undercount deadlocks (no expansion, no
-     new edges — mirrors Space.explore). *)
-  if !stop <> None then
-    Queue.iter
-      (fun m -> if Net.is_deadlock net m then deadlocks := m :: !deadlocks)
-      queue;
+  let st = Kernel.start (Net.initial_marking net) () in
+  Kernel.run ~budget
+    {
+      site = "reach.pop";
+      name = "reach";
+      counters = None;
+      shape =
+        (fun m -> if Net.is_deadlock net m then Worklist.Deadlock else Live);
+      expand = (fun m () -> expand m);
+      fire = (fun m t -> (Net.fire m t, ()));
+      reached_with = (fun _ -> ());
+      revisit = (fun ~recorded:() () -> None);
+      keep_log = false;
+      on_pop = ignore;
+      on_fire = ignore;
+      on_boundary = ignore;
+    }
+    st;
   {
-    status = Budget.status_of !stop;
+    status = Budget.status_of st.stop;
     stats =
       {
-        states = MarkingTbl.length visited;
-        edges = !edges;
-        deadlocks = List.length !deadlocks;
-        max_frontier = !max_frontier;
+        states = MarkingTbl.length st.visited;
+        edges = st.acc.transitions;
+        deadlocks = List.length st.acc.deadlocks;
+        max_frontier = st.max_frontier;
       };
-    deadlock_markings = !deadlocks;
+    deadlock_markings = st.acc.deadlocks;
   }
 
 let full ?max_states ?budget net =

@@ -27,13 +27,14 @@ let is_simple (s : stmt) =
   | Scobegin _ | Satomic _ | Sawait _ | Sacquire _ | Srelease _ | Sfence ->
       false
 
-(* Group a block's statements.  [conf] is the program's conflict report. *)
-let rec group_block conf (ss : stmt list) : stmt list =
+(* Group a block's statements.  [conf] is the program's conflict report;
+   [fresh] labels the new atomic blocks. *)
+let rec group_block conf ~fresh (ss : stmt list) : stmt list =
   let flush run acc =
     match run with
     | [] -> acc
     | [ single ] -> single :: acc
-    | _ -> Ast.mk (Satomic (List.rev run)) :: acc
+    | _ -> { label = fresh (); kind = Satomic (List.rev run) } :: acc
   in
   let rec go acc run crit = function
     | [] -> List.rev (flush run acc)
@@ -44,28 +45,39 @@ let rec group_block conf (ss : stmt list) : stmt list =
           (* close the current run and start a new one at [s] *)
           go (flush run acc) [ s ] c rest
     | s :: rest ->
-        let s' = coarsen_stmt conf s in
+        let s' = coarsen_stmt conf ~fresh s in
         go (s' :: flush run acc) [] 0 rest
   in
   go [] [] 0 ss
 
-and coarsen_stmt conf (s : stmt) : stmt =
+and coarsen_stmt conf ~fresh (s : stmt) : stmt =
+  let go = coarsen_stmt conf ~fresh in
   match s.kind with
-  | Sblock ss -> { s with kind = Sblock (group_block conf ss) }
-  | Scobegin bs -> { s with kind = Scobegin (List.map (coarsen_stmt conf) bs) }
-  | Sif (c, s1, s2) ->
-      { s with kind = Sif (c, coarsen_stmt conf s1, coarsen_stmt conf s2) }
-  | Swhile (c, b) -> { s with kind = Swhile (c, coarsen_stmt conf b) }
+  | Sblock ss -> { s with kind = Sblock (group_block conf ~fresh ss) }
+  | Scobegin bs -> { s with kind = Scobegin (List.map go bs) }
+  | Sif (c, s1, s2) -> { s with kind = Sif (c, go s1, go s2) }
+  | Swhile (c, b) -> { s with kind = Swhile (c, go b) }
   | _ -> s
 
 (* Coarsen a whole program.  The conflict report is computed once from the
-   original program (coarsening does not change accesses). *)
-let program (prog : program) : program =
-  let conf = Critical.of_program prog in
-  { procs = List.map (fun p -> { p with body = coarsen_stmt conf p.body }) prog.procs }
-
-(* Expose the conflict report alongside, for diagnostics. *)
+   original program (coarsening does not change accesses).  New atomic
+   blocks are labelled from a counter of this call, starting above the
+   input's largest label: the output is a function of the input alone,
+   so a coarsened program digests — and keys a cached run — the same in
+   every call and on every domain. *)
 let program_with_report (prog : program) : program * Critical.conflicts =
   let conf = Critical.of_program prog in
-  ( { procs = List.map (fun p -> { p with body = coarsen_stmt conf p.body }) prog.procs },
+  let next = ref (List.fold_left max 0 (Ast.labels prog)) in
+  let fresh () =
+    incr next;
+    !next
+  in
+  ( {
+      procs =
+        List.map
+          (fun p -> { p with body = coarsen_stmt conf ~fresh p.body })
+          prog.procs;
+    },
     conf )
+
+let program prog = fst (program_with_report prog)

@@ -11,10 +11,9 @@ open Cobegin_lang
 val is_simple : Ast.stmt -> bool
 (** May the statement participate in a coarsened run? *)
 
-val coarsen_stmt : Critical.conflicts -> Ast.stmt -> Ast.stmt
-
 val program : Ast.program -> Ast.program
 (** Coarsen a whole program; the conflict report is computed once from
-    the input. *)
+    the input.  The new atomic blocks get labels above the input's
+    largest, allocated per call: equal inputs give equal outputs. *)
 
 val program_with_report : Ast.program -> Ast.program * Critical.conflicts

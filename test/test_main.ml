@@ -24,4 +24,6 @@ let () =
       ("obs", Test_obs.suite);
       ("report", Test_report.suite);
       ("serve", Test_serve.suite);
+      ("cli", Test_cli.suite);
+      ("kernel", Test_kernel.suite);
     ]

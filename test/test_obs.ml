@@ -394,4 +394,21 @@ let pipeline_tests =
         check_bool "probe fired" true (!fired > 0));
   ]
 
-let suite = span_tests @ metrics_tests @ probe_tests @ pipeline_tests
+let json_tests =
+  [
+    case "JSON numbers render exactly" (fun () ->
+        let float = Cobegin_obs.Obs_json.float in
+        check_string "a 512 MiB heap cap in words" "67108864" (float 67108864.);
+        check_string "a count past a million" "1000001" (float (1e6 +. 1.));
+        check_string "a short fraction" "0.1" (float 0.1);
+        check_string "NaN is null, not 0" "null" (float Float.nan);
+        check_string "an infinity is null" "null" (float Float.infinity);
+        List.iter
+          (fun f ->
+            check_bool (Printf.sprintf "%h round-trips" f) true
+              (float_of_string (float f) = f))
+          [ 1.0 /. 3.0; 1234.5678901; 1e-7; 6.02214076e23; -2.5; 1e300 ]);
+  ]
+
+let suite =
+  span_tests @ metrics_tests @ probe_tests @ pipeline_tests @ json_tests

@@ -157,6 +157,23 @@ let report_tests =
         let j1 = Report.to_json (Pipeline.analyze ~options (fig2 ())) in
         let j2 = Report.to_json (Pipeline.analyze ~options (fig2 ())) in
         check_string "identical bytes" j1 j2);
+    case "coarsened runs key and report identically in one process"
+      (fun () ->
+        let prog = parse Cobegin_models.Figures.fig8 in
+        check_bool "coarsening changes the program" true
+          (Report.program_digest (Cobegin_trans.Coarsen.program prog)
+          <> Report.program_digest prog);
+        let options =
+          { Pipeline.default_options with coarsen = true; find_races = true }
+        in
+        let run () =
+          ( Pipeline.run_key options prog,
+            Report.to_json (Pipeline.analyze ~options prog) )
+        in
+        let k1, j1 = run () in
+        let k2, j2 = run () in
+        check_string "same run key" k1 k2;
+        check_string "same report bytes" j1 j2);
     case "program digest: stable for equal programs, 16 hex chars"
       (fun () ->
         let d1 = Report.program_digest (fig2 ()) in
