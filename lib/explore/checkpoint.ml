@@ -13,7 +13,9 @@
    digests are ids into process-local pools, so the restoring process
    re-interns the snapshotted representations and remaps every saved
    digest (Config.digest_of_ids) before use.  Frontier and terminal
-   configurations are marshaled structurally — they are pure data.
+   configurations are marshaled structurally; they also carry the
+   writer's interned ids (Config.ids), so the restoring process rebuilds
+   each one through Config.make and digests it afresh.
 
    Writes go to a temp file renamed into place, so a crash mid-write
    leaves the previous checkpoint intact, never a torn file. *)
@@ -43,9 +45,11 @@ let magic = "COBEGIN-CKPT\n"
 (* Version 2: configurations may carry per-process store buffers
    (TSO/PSO), and the identity hash binds the memory model alongside
    the program.  Version 3: the terminals, counters and event log are
-   the exploration kernel's accumulator record.  Older files are
-   refused with [Corrupt]. *)
-let version = 3
+   the exploration kernel's accumulator record.  Version 4: process
+   representations in the pool snapshot key the procedure string and
+   pending-return destinations structurally.  Older files are refused
+   with [Corrupt]. *)
+let version = 4
 
 type header = { hd_version : int; hd_program_hash : int }
 
@@ -136,6 +140,12 @@ let load_payload ~path ctx : payload =
       try (Marshal.from_channel ic : payload)
       with End_of_file | Failure _ -> raise (Corrupt "truncated payload"))
 
+(* Drop the writer's interned ids: they number the writer's pools, and
+   a warm interner here numbers the same components differently. *)
+let without_ids (c : Config.t) =
+  Config.make ~procs:c.procs ~store:c.store ~counters:c.counters
+    ~error:c.error
+
 let live_of_payload (p : payload) =
   let t0 = Unix.gettimeofday () in
   let rm = Intern.restore (Intern.global ()) p.ck_pools in
@@ -153,7 +163,16 @@ let live_of_payload (p : payload) =
     (fun d -> Config.Digest_tbl.replace visited (remap_digest d) ())
     p.ck_visited;
   let queue = Queue.create () in
-  List.iter (fun c -> Queue.add (c, ()) queue) p.ck_frontier;
+  List.iter (fun c -> Queue.add (without_ids c, ()) queue) p.ck_frontier;
+  let acc = p.ck_acc in
+  let acc =
+    {
+      acc with
+      finals = List.map without_ids acc.finals;
+      deadlocks = List.map without_ids acc.deadlocks;
+      errors = List.map without_ids acc.errors;
+    }
+  in
   Metrics.incr m_restores;
   Metrics.observe h_restore_ms
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1000.));
@@ -167,7 +186,7 @@ let live_of_payload (p : payload) =
   ({
      visited;
      queue;
-     acc = p.ck_acc;
+     acc;
      max_frontier = p.ck_max_frontier;
      pops = 0;
      stop = None;

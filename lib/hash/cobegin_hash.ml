@@ -60,41 +60,3 @@ module Pool (H : Hashtbl.HashedType) = struct
     Mutex.protect p.lock (fun () ->
         T.fold (fun k id acc -> (k, id) :: acc) p.tbl [])
 end
-
-module Phys_memo = struct
-  (* Buckets are keyed by [hash] — full-width when the caller supplies
-     one — and scanned with [==].  Structurally equal but physically
-     distinct keys therefore share a bucket and miss, which is safe.
-     Buckets are capped so a pathological key distribution degrades to
-     misses, not to linear scans.  The generic [Hashtbl.hash] default
-     truncates after ~10 nodes, which collapses deep keys into a
-     handful of buckets and then [bucket_cap] evicts live entries:
-     callers memoizing deep structures must pass a full-width [hash]. *)
-  let bucket_cap = 8
-
-  type ('k, 'v) t = {
-    tbl : (int, ('k * 'v) list) Hashtbl.t;
-    limit : int;
-    hash : 'k -> int;
-  }
-
-  let create ?(limit = 1 lsl 17) ?(hash = Hashtbl.hash) n =
-    { tbl = Hashtbl.create n; limit; hash }
-
-  let find m k =
-    match Hashtbl.find_opt m.tbl (m.hash k) with
-    | None -> None
-    | Some entries ->
-        List.find_map
-          (fun (k', v) -> if k == k' then Some v else None)
-          entries
-
-  let add m k v =
-    if Hashtbl.length m.tbl >= m.limit then Hashtbl.reset m.tbl;
-    let h = m.hash k in
-    let old =
-      match Hashtbl.find_opt m.tbl h with Some l -> l | None -> []
-    in
-    let old = if List.length old >= bucket_cap then [] else old in
-    Hashtbl.replace m.tbl h ((k, v) :: old)
-end

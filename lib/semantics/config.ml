@@ -7,23 +7,37 @@
    Instrumentation metadata (birthdates, heap-ness) is excluded: it is
    functionally determined by the rest. *)
 
+module Metrics = Cobegin_obs.Metrics
+
 module PidMap = Map.Make (struct
   type t = Value.pid
 
   let compare = Value.compare_pid
 end)
 
-(* Defined in Intern so the interner can memoize whole counter maps. *)
+(* Defined in Intern so the interner can take whole counter maps. *)
 module CounterMap = Intern.CounterMap
+
+(* The interned ids of the components already digested: [i_procs] maps
+   a pid to its process's id, and [-1] marks an unknown store or
+   counter id.  Every update below forgets exactly the ids of the
+   components it replaces, so a successor keeps its parent's ids for
+   everything the step left untouched.  Ids are those of the global
+   interner: only [digest] reads or fills them. *)
+type ids = { i_procs : int PidMap.t; i_store : int; i_counters : int }
+
+let unknown = { i_procs = PidMap.empty; i_store = -1; i_counters = -1 }
 
 type t = {
   procs : Proc.t PidMap.t;
   store : Store.t;
   counters : int CounterMap.t; (* next sequence number per (pid, site) *)
   error : string option;
+  mutable ids : ids;
 }
 
-let make ~procs ~store ~counters ~error = { procs; store; counters; error }
+let make ~procs ~store ~counters ~error =
+  { procs; store; counters; error; ids = unknown }
 
 let processes c = List.map snd (PidMap.bindings c.procs)
 let find_proc pid c = PidMap.find_opt pid c.procs
@@ -40,12 +54,35 @@ let all_terminated c = PidMap.is_empty c.procs
 let next_seq ~pid ~site c =
   let key = (pid, site) in
   let seq = match CounterMap.find_opt key c.counters with Some n -> n | None -> 0 in
-  (seq, { c with counters = CounterMap.add key (seq + 1) c.counters })
+  ( seq,
+    {
+      c with
+      counters = CounterMap.add key (seq + 1) c.counters;
+      ids = { c.ids with i_counters = -1 };
+    } )
 
-let update_proc p c = { c with procs = PidMap.add p.Proc.pid p c.procs }
-let remove_proc pid c = { c with procs = PidMap.remove pid c.procs }
-let add_proc p c = { c with procs = PidMap.add p.Proc.pid p c.procs }
-let with_store store c = { c with store }
+let forget_proc pid ids =
+  let i_procs = PidMap.remove pid ids.i_procs in
+  if i_procs == ids.i_procs then ids else { ids with i_procs }
+
+(* [PidMap.add] and [PidMap.remove] return their argument when nothing
+   changes (re-adding a physically equal process, removing an absent
+   pid): such an update keeps the configuration and its ids. *)
+let update_proc p c =
+  let procs = PidMap.add p.Proc.pid p c.procs in
+  if procs == c.procs then c
+  else { c with procs; ids = forget_proc p.Proc.pid c.ids }
+
+let add_proc = update_proc
+
+let remove_proc pid c =
+  let procs = PidMap.remove pid c.procs in
+  if procs == c.procs then c else { c with procs; ids = forget_proc pid c.ids }
+
+let with_store store c =
+  if store == c.store then c
+  else { c with store; ids = { c.ids with i_store = -1 } }
+
 let with_error msg c = { c with error = Some msg }
 
 (* Canonical representation for hashing and equality. *)
@@ -87,17 +124,53 @@ let digest_of_ids ~d_procs ~d_store ~d_counters ~d_error =
   in
   { d_procs; d_store; d_counters; d_error; d_hash }
 
+(* Hit rate of the id cache: a reused id is a hit, a pool intern a
+   miss.  No-ops (one branch) while telemetry is disabled. *)
+let m_memo_hits = Metrics.counter "intern.memo_hits"
+let m_memo_misses = Metrics.counter "intern.memo_misses"
+
+(* Interns only the components whose ids are unknown, then publishes the
+   completed ids on [c].  Under the parallel engine two domains may
+   digest one configuration at once; both compute the same ids (pool
+   ids do not depend on who asks first) and each writes an immutable
+   record, so whichever write lands last is equally right and a reader
+   sees either the old ids or complete ones. *)
 let digest c =
   let st = Intern.global () in
-  let d_procs =
-    Array.of_list
-      (List.rev
-         (PidMap.fold
-            (fun _ p acc -> Intern.proc_id st p :: acc)
-            c.procs []))
+  let ids = c.ids in
+  let d_procs = Array.make (PidMap.cardinal c.procs) 0 in
+  let misses = ref 0 and i_procs = ref ids.i_procs and i = ref 0 in
+  PidMap.iter
+    (fun pid p ->
+      let id =
+        match PidMap.find_opt pid ids.i_procs with
+        | Some id -> id
+        | None ->
+            incr misses;
+            let id = Intern.proc_id st p in
+            i_procs := PidMap.add pid id !i_procs;
+            id
+      in
+      d_procs.(!i) <- id;
+      incr i)
+    c.procs;
+  let d_store =
+    if ids.i_store >= 0 then ids.i_store
+    else (
+      incr misses;
+      Intern.store_id st c.store)
   in
-  let d_store = Intern.store_id st c.store in
-  let d_counters = Intern.counters_id st c.counters in
+  let d_counters =
+    if ids.i_counters >= 0 then ids.i_counters
+    else (
+      incr misses;
+      Intern.counters_id st c.counters)
+  in
+  if !misses > 0 then begin
+    Metrics.add m_memo_misses !misses;
+    c.ids <- { i_procs = !i_procs; i_store = d_store; i_counters = d_counters }
+  end;
+  Metrics.add m_memo_hits (Array.length d_procs + 2 - !misses);
   let d_error = Intern.error_id st c.error in
   digest_of_ids ~d_procs ~d_store ~d_counters ~d_error
 

@@ -7,12 +7,20 @@
 module PidMap : Map.S with type key = Value.pid
 module CounterMap : Map.S with type key = Value.pid * int
 
-type t = {
+type ids
+(** The interned ids of the components already digested (see
+    {!digest}); unknown for every component of a fresh configuration. *)
+
+type t = private {
   procs : Proc.t PidMap.t;
   store : Store.t;
   counters : int CounterMap.t;  (** next sequence number per (pid, site) *)
   error : string option;  (** a runtime failure: the configuration is terminal *)
+  mutable ids : ids;  (** filled by {!digest} only *)
 }
+(** Private: configurations are built by {!make} and derived by the
+    updates below, which keep the ids of untouched components and
+    forget the rest — so no configuration carries a stale id. *)
 
 val make :
   procs:Proc.t PidMap.t ->
@@ -20,6 +28,7 @@ val make :
   counters:int CounterMap.t ->
   error:string option ->
   t
+(** A configuration with every component id unknown. *)
 
 val processes : t -> Proc.t list
 (** Live processes, in pid order. *)
@@ -32,12 +41,18 @@ val all_terminated : t -> bool
 (** Every process has run to completion: a final configuration. *)
 
 val next_seq : pid:Value.pid -> site:int -> t -> int * t
-(** Allocate the next sequence number for (pid, site). *)
+(** Allocate the next sequence number for (pid, site); forgets the
+    counter id. *)
 
 val update_proc : Proc.t -> t -> t
 val remove_proc : Value.pid -> t -> t
 val add_proc : Proc.t -> t -> t
+(** Each forgets the id of that pid only, and returns the configuration
+    itself when the process map is physically unchanged. *)
+
 val with_store : Store.t -> t -> t
+(** Forgets the store id unless the store is physically unchanged. *)
+
 val with_error : string -> t -> t
 
 type repr
@@ -53,15 +68,17 @@ type digest = {
   d_hash : int;  (** precomputed full-width hash of the tuple *)
 }
 (** Hash-consed identity (see {!Intern}): a flat int tuple such that
-    [digest_equal (digest a) (digest b)] iff [repr a = repr b].
-    Components are interned incrementally — a one-process step
-    re-serializes only the changed process and the store when written;
-    the untouched components hit the physical-identity memo. *)
+    [digest_equal (digest a) (digest b)] iff [repr a = repr b]. *)
 
 val digest : t -> digest
 (** Intern against the process-wide default interner
-    ({!Intern.global}).  Cost: O(changed components) plus O(#procs) to
-    assemble the tuple. *)
+    ({!Intern.global}).  Only the components whose ids [t] does not
+    carry yet are interned; the ids are then stored on [t], so a
+    one-process step re-serializes only the changed process (and the
+    store or counters, when written) and a repeated digest interns
+    nothing.  Cost: O(changed components) plus O(#procs log #procs) to
+    assemble the tuple.  Counts [intern.memo_hits] (an id reused) and
+    [intern.memo_misses] (a pool intern). *)
 
 val digest_of_ids :
   d_procs:int array -> d_store:int -> d_counters:int -> d_error:int -> digest
@@ -80,6 +97,6 @@ module Digest_tbl : Hashtbl.S with type key = digest
 
 val equal : t -> t -> bool
 val hash : t -> int
-(** Both go through {!digest} (full-width, memoized). *)
+(** Both go through {!digest} (full-width, cached ids). *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,19 +1,11 @@
 (* Hash-consed interning of configuration components (see intern.mli).
 
    Layout: one Pool per component kind, keyed by the component's
-   canonical representation under a full-width structural hash, fronted
-   by a physical-identity memo.  Successor configurations share the
-   untouched components physically (Config updates are functional
-   record updates), so the memo turns the per-step interning cost into
-   "changed components only". *)
+   canonical representation under a full-width structural hash.  A
+   configuration carries the ids of its already-interned components
+   (Config), so only the components a step changed reach this module. *)
 
 module H = Cobegin_hash
-module Metrics = Cobegin_obs.Metrics
-
-(* Telemetry: hit rate of the physical-identity memo in front of the
-   pools.  No-ops (one branch) while telemetry is disabled. *)
-let m_memo_hits = Metrics.counter "intern.memo_hits"
-let m_memo_misses = Metrics.counter "intern.memo_misses"
 
 module CounterMap = Map.Make (struct
   type t = Value.pid * int (* (pid, site) *)
@@ -42,11 +34,19 @@ let hash_value = function
 let hash_env_bindings bs =
   H.hash_list (fun (x, l) -> H.combine (H.hash_string x) (hash_loc l)) bs
 
+let hash_pstring_frame = function
+  | Pstring.Fcall { proc; site; inst } ->
+      H.combine 0x31 (H.combine (H.hash_string proc) (H.combine site inst))
+  | Pstring.Fbranch { cob; idx; inst } ->
+      H.combine 0x32 (H.combine cob (H.combine idx inst))
+
+(* A pending return's destination is not hashed: within one program the
+   call site determines it, and equality still compares it. *)
 let hash_item_repr = function
   | Proc.Rstmt label -> H.combine 0x21 (H.hash_int label)
   | Proc.Rpop bs -> H.combine 0x22 (hash_env_bindings bs)
-  | Proc.Rret (tag, bs) ->
-      H.combine 0x23 (H.combine (H.hash_string tag) (hash_env_bindings bs))
+  | Proc.Rret (site, _, bs) ->
+      H.combine 0x23 (H.combine site (hash_env_bindings bs))
   | Proc.Rjoin (cob, children) ->
       H.combine 0x24 (H.combine cob (H.hash_list hash_pid children))
 
@@ -60,7 +60,9 @@ let hash_proc_repr (r : Proc.repr) =
        (hash_env_bindings r.Proc.r_env)
        (H.combine
           (H.hash_list hash_item_repr r.Proc.r_stack)
-          (H.combine (H.hash_string r.Proc.r_pstr) (hash_buf r.Proc.r_buf))))
+          (H.combine
+             (H.hash_list hash_pstring_frame r.Proc.r_pstr)
+             (hash_buf r.Proc.r_buf))))
 
 let hash_store_repr bs =
   H.hash_list (fun (l, v) -> H.combine (hash_loc l) (hash_value v)) bs
@@ -69,55 +71,6 @@ let hash_counter_bindings bs =
   H.hash_list
     (fun ((pid, site), n) -> H.combine (hash_pid pid) (H.combine site n))
     bs
-
-(* --- full-width hashes over *live* components ---
-
-   These key the physical-identity memos in front of the pools: the
-   bucket hash must spread structurally distinct live values across
-   buckets (the generic [Hashtbl.hash] stops after ~10 nodes, which
-   collapses deep processes and stores into a handful of buckets whose
-   cap then evicts live entries).  They walk the live structures
-   directly — no canonical representation is allocated on the memo-hit
-   path. *)
-
-let hash_pstring_frame = function
-  | Pstring.Fcall { proc; site; inst } ->
-      H.combine 0x31 (H.combine (H.hash_string proc) (H.combine site inst))
-  | Pstring.Fbranch { cob; idx; inst } ->
-      H.combine 0x32 (H.combine cob (H.combine idx inst))
-
-let hash_env (e : Env.t) = hash_env_bindings (Env.bindings e)
-
-let hash_item_live = function
-  | Proc.Istmt s -> H.combine 0x21 (H.hash_int s.Cobegin_lang.Ast.label)
-  | Proc.Ipop e -> H.combine 0x22 (hash_env e)
-  | Proc.Iret { site; saved_env; _ } ->
-      H.combine 0x23 (H.combine site (hash_env saved_env))
-  | Proc.Ijoin { cob; children } ->
-      H.combine 0x24 (H.combine cob (H.hash_list hash_pid children))
-
-let hash_proc_live (p : Proc.t) =
-  H.combine
-    (hash_pid p.Proc.pid)
-    (H.combine
-       (hash_env p.Proc.env)
-       (H.combine
-          (H.hash_list hash_item_live p.Proc.stack)
-          (H.combine
-             (H.hash_list hash_pstring_frame p.Proc.pstr)
-             (hash_buf p.Proc.buf))))
-
-let hash_store_live (s : Store.t) =
-  Store.fold_cells
-    (fun l v h -> H.combine h (H.combine (hash_loc l) (hash_value v)))
-    s
-    (H.hash_int (Store.cardinal s))
-
-let hash_counters_live (m : int CounterMap.t) =
-  CounterMap.fold
-    (fun (pid, site) n h ->
-      H.combine h (H.combine (hash_pid pid) (H.combine site n)))
-    m (H.hash_int 0)
 
 (* --- pools --- *)
 
@@ -149,40 +102,20 @@ module String_pool = H.Pool (struct
   let hash = H.hash_string
 end)
 
-(* One mutex per component kind, guarding the memo and the pool lookup
-   together: the pools are themselves mutex-guarded (Cobegin_hash.Pool),
-   but the Phys_memo in front is a plain hashtable, and the memo-miss
-   path must publish (memo add) the id it interned atomically with
-   respect to other domains interning the same component.  The locks
-   nest strictly kind-mutex → pool-mutex, so there is no deadlock, and
-   ids stay sequential and stable: the pool assigns them under its own
-   lock in first-intern order. *)
+(* Each pool serializes its own id assignment (Cobegin_hash.Pool), so
+   the interner needs no lock of its own. *)
 type state = {
-  proc_lock : Mutex.t;
   procs : Proc_pool.t;
-  proc_memo : (Proc.t, int) H.Phys_memo.t;
-  store_lock : Mutex.t;
   stores : Store_pool.t;
-  store_memo : (Store.t, int) H.Phys_memo.t;
-  counter_lock : Mutex.t;
   counters : Counter_pool.t;
-  counter_memo : (int CounterMap.t, int) H.Phys_memo.t;
-  error_lock : Mutex.t;
   errors : String_pool.t;
 }
 
 let create () =
   {
-    proc_lock = Mutex.create ();
     procs = Proc_pool.create 1024;
-    proc_memo = H.Phys_memo.create ~hash:hash_proc_live 1024;
-    store_lock = Mutex.create ();
     stores = Store_pool.create 1024;
-    store_memo = H.Phys_memo.create ~hash:hash_store_live 1024;
-    counter_lock = Mutex.create ();
     counters = Counter_pool.create 64;
-    counter_memo = H.Phys_memo.create ~hash:hash_counters_live 64;
-    error_lock = Mutex.create ();
     errors = String_pool.create 16;
   }
 
@@ -192,47 +125,13 @@ let create () =
 let the_global = create ()
 let global () = the_global
 
-let proc_id st (p : Proc.t) =
-  Mutex.protect st.proc_lock (fun () ->
-      match H.Phys_memo.find st.proc_memo p with
-      | Some id ->
-          Metrics.incr m_memo_hits;
-          id
-      | None ->
-          Metrics.incr m_memo_misses;
-          let id = Proc_pool.intern st.procs (Proc.repr p) in
-          H.Phys_memo.add st.proc_memo p id;
-          id)
-
-let store_id st (s : Store.t) =
-  Mutex.protect st.store_lock (fun () ->
-      match H.Phys_memo.find st.store_memo s with
-      | Some id ->
-          Metrics.incr m_memo_hits;
-          id
-      | None ->
-          Metrics.incr m_memo_misses;
-          let id = Store_pool.intern st.stores (Store.repr s) in
-          H.Phys_memo.add st.store_memo s id;
-          id)
-
-let counters_id st (m : int CounterMap.t) =
-  Mutex.protect st.counter_lock (fun () ->
-      match H.Phys_memo.find st.counter_memo m with
-      | Some id ->
-          Metrics.incr m_memo_hits;
-          id
-      | None ->
-          Metrics.incr m_memo_misses;
-          let id = Counter_pool.intern st.counters (CounterMap.bindings m) in
-          H.Phys_memo.add st.counter_memo m id;
-          id)
+let proc_id st p = Proc_pool.intern st.procs (Proc.repr p)
+let store_id st s = Store_pool.intern st.stores (Store.repr s)
+let counters_id st m = Counter_pool.intern st.counters (CounterMap.bindings m)
 
 let error_id st = function
   | None -> -1
-  | Some msg ->
-      Mutex.protect st.error_lock (fun () ->
-          String_pool.intern st.errors msg)
+  | Some msg -> String_pool.intern st.errors msg
 
 let distinct_procs st = Proc_pool.size st.procs
 let distinct_stores st = Store_pool.size st.stores
@@ -290,33 +189,13 @@ type remap = {
   rm_errors : int array;
 }
 
+(* Interning is idempotent, so components already in the pools just
+   resolve to their existing ids; saved-id order makes a fresh pool's
+   remap the identity. *)
 let restore st snap =
-  (* Straight to the pools, in saved-id order: the memos in front key
-     by physical identity and cannot help with freshly unmarshaled
-     values anyway.  Interning is idempotent, so components already in
-     the pools just resolve to their existing ids. *)
   {
-    rm_procs =
-      Array.map
-        (fun r ->
-          Mutex.protect st.proc_lock (fun () -> Proc_pool.intern st.procs r))
-        snap.sn_procs;
-    rm_stores =
-      Array.map
-        (fun r ->
-          Mutex.protect st.store_lock (fun () ->
-              Store_pool.intern st.stores r))
-        snap.sn_stores;
-    rm_counters =
-      Array.map
-        (fun r ->
-          Mutex.protect st.counter_lock (fun () ->
-              Counter_pool.intern st.counters r))
-        snap.sn_counters;
-    rm_errors =
-      Array.map
-        (fun r ->
-          Mutex.protect st.error_lock (fun () ->
-              String_pool.intern st.errors r))
-        snap.sn_errors;
+    rm_procs = Array.map (Proc_pool.intern st.procs) snap.sn_procs;
+    rm_stores = Array.map (Store_pool.intern st.stores) snap.sn_stores;
+    rm_counters = Array.map (Counter_pool.intern st.counters) snap.sn_counters;
+    rm_errors = Array.map (String_pool.intern st.errors) snap.sn_errors;
   }

@@ -8,35 +8,33 @@
     structural hash, so a whole configuration collapses to a flat int
     tuple ({!Config.digest}) whose equality and hashing are O(#procs).
 
-    Interning is incremental: each component is first looked up in a
-    physical-identity memo, so a one-process step re-serializes only the
-    changed process (and the store, when it was written) — the untouched
-    processes and counter map are physically shared by the successor and
-    hit the memo in O(1).
+    Every [*_id] call here builds the component's canonical
+    representation and looks it up in its pool.  Incrementality lives
+    one level up: a configuration carries the ids of its components
+    once digested, and a step forgets only the ids of what it changed,
+    so {!Config.digest} calls this module for the changed components
+    alone.
 
     Invariants:
     - id equality is equivalent to structural equality of the canonical
       representation ([proc_id a = proc_id b] iff
       [Proc.repr a = Proc.repr b], and likewise for the other pools);
     - ids are never reused, so digests remain valid for the lifetime of
-      the interner that produced them;
-    - the memos are best-effort: a memo miss falls back to structural
-      interning and can never produce a wrong id.
+      the interner that produced them.
 
-    Domain-safety: every [*_id] lookup is guarded by a per-component
-    mutex (covering the memo and the pool together), so one interner —
-    in particular {!global}, which is created eagerly at module
-    initialization — may be shared by any number of OCaml 5 domains.
-    Ids stay sequential and stable no matter how many domains intern
-    concurrently; the parallel exploration engine relies on this. *)
+    Domain-safety: each pool serializes its own lookups and id
+    assignment under a mutex, so one interner — in particular
+    {!global}, which is created eagerly at module initialization — may
+    be shared by any number of OCaml 5 domains.  Ids stay sequential
+    and stable no matter how many domains intern concurrently; the
+    parallel exploration engine relies on this. *)
 
 module CounterMap : Map.S with type key = Value.pid * int
 (** The allocation-counter map, keyed by (pid, site).  Defined here (and
-    re-exported by {!Config}) so the interner can memoize whole counter
-    maps by physical identity. *)
+    re-exported by {!Config}) so {!counters_id} can take it. *)
 
 type state
-(** An interner: pools of interned components plus their memos. *)
+(** An interner: one pool per component kind. *)
 
 val create : unit -> state
 

@@ -49,31 +49,26 @@ let equal p1 p2 =
   && List.equal buf_entry_equal p1.buf p2.buf
 
 (* A canonical, hashable digest of a process: statement items are
-   identified by label; environments by their sorted bindings; the store
-   buffer is order-significant, so its repr is the list itself. *)
+   identified by label; environments by their sorted bindings; the
+   procedure string and the store buffer (order-significant) are kept
+   verbatim — both are pure data, so nothing is printed. *)
 type item_repr =
   | Rstmt of int
   | Rpop of (string * Value.loc) list
-  | Rret of string * (string * Value.loc) list
+  | Rret of int * Ast.lvalue option * (string * Value.loc) list
   | Rjoin of int * Value.pid list
 
 let item_repr = function
   | Istmt s -> Rstmt s.Ast.label
   | Ipop e -> Rpop (Env.bindings e)
-  | Iret { dest; saved_env; site } ->
-      let d =
-        match dest with
-        | None -> ""
-        | Some lv -> Format.asprintf "%a" Pretty.pp_lvalue lv
-      in
-      Rret (Printf.sprintf "%d:%s" site d, Env.bindings saved_env)
+  | Iret { dest; saved_env; site } -> Rret (site, dest, Env.bindings saved_env)
   | Ijoin { cob; children } -> Rjoin (cob, children)
 
 type repr = {
   r_pid : Value.pid;
   r_env : (string * Value.loc) list;
   r_stack : item_repr list;
-  r_pstr : string;
+  r_pstr : Pstring.t;
   r_buf : (Value.loc * Value.t) list;
 }
 
@@ -82,7 +77,7 @@ let repr p =
     r_pid = p.pid;
     r_env = Env.bindings p.env;
     r_stack = List.map item_repr p.stack;
-    r_pstr = Pstring.to_string p.pstr;
+    r_pstr = p.pstr;
     r_buf = p.buf;
   }
 

@@ -35,19 +35,20 @@ val item_equal : item -> item -> bool
 val equal : t -> t -> bool
 
 (** Canonical, hashable digest: statements identified by label,
-    environments by sorted bindings, store buffers verbatim (order is
-    semantically significant). *)
+    environments by sorted bindings, procedure strings and store
+    buffers verbatim (buffer order is semantically significant).  A
+    pending return is keyed by its call site and destination. *)
 type item_repr =
   | Rstmt of int
   | Rpop of (string * Value.loc) list
-  | Rret of string * (string * Value.loc) list
+  | Rret of int * Ast.lvalue option * (string * Value.loc) list
   | Rjoin of int * Value.pid list
 
 type repr = {
   r_pid : Value.pid;
   r_env : (string * Value.loc) list;
   r_stack : item_repr list;
-  r_pstr : string;
+  r_pstr : Pstring.t;
   r_buf : (Value.loc * Value.t) list;
 }
 

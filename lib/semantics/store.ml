@@ -72,9 +72,6 @@ let equal a b = Value.LocMap.equal Value.equal_value a.cells b.cells
 
 let bindings st = Value.LocMap.bindings st.cells
 
-let fold_cells f st acc = Value.LocMap.fold f st.cells acc
-let cardinal st = Value.LocMap.cardinal st.cells
-
 let pp ppf st =
   Format.fprintf ppf "@[<v>%a@]"
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf (l, v) ->

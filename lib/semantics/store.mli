@@ -40,9 +40,4 @@ val repr : t -> (Value.loc * Value.t) list
 val equal : t -> t -> bool
 val bindings : t -> (Value.loc * Value.t) list
 
-val fold_cells : (Value.loc -> Value.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over the live cells in location order, without materializing
-    the bindings list (the memo-hash path of {!Intern}). *)
-
-val cardinal : t -> int
 val pp : Format.formatter -> t -> unit

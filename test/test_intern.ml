@@ -1,6 +1,7 @@
 (* Hash-consed digests (Intern / Config.digest): equality semantics
    across interleavings, digest-vs-repr cardinality, distribution of the
-   full-width hash, and the truncated-generic-hash regressions. *)
+   full-width hash, the truncated-generic-hash regressions, and the
+   interned-id cache configurations carry. *)
 
 open Cobegin_semantics
 open Helpers
@@ -129,35 +130,143 @@ let distribution_tests =
           (Cobegin_hash.hash_int_array a <> Cobegin_hash.hash_int_array b));
   ]
 
-let phys_memo_tests =
+(* The id cache on configurations: a digest interns only what the step
+   changed, the cache never changes a digest, and a checkpoint written
+   under another process's numbering resumes exactly. *)
+
+let m_hits = Cobegin_obs.Metrics.counter "intern.memo_hits"
+let m_misses = Cobegin_obs.Metrics.counter "intern.memo_misses"
+
+(* The intern.memo_* counter deltas over [f ()]. *)
+let memo_deltas f =
+  let module M = Cobegin_obs.Metrics in
+  let was = M.enabled () in
+  M.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> M.set_enabled was)
+    (fun () ->
+      let h0 = M.counter_value m_hits and m0 = M.counter_value m_misses in
+      f ();
+      (M.counter_value m_hits - h0, M.counter_value m_misses - m0))
+
+(* The same configuration with no interned ids. *)
+let without_ids (c : Config.t) =
+  Config.make ~procs:c.procs ~store:c.store ~counters:c.counters
+    ~error:c.error
+
+(* Breadth-first over every configuration reachable under [model],
+   calling [f] on every successor fired, revisits included, with its
+   first digest — the one computed from the ids its parent passed on. *)
+let iter_reached ~model src f =
+  let ctx = Step.make_ctx ~model (parse src) in
+  let seen = Config.Digest_tbl.create 1024 in
+  let queue = Queue.create () in
+  let visit c =
+    let d = Config.digest c in
+    f c d;
+    if not (Config.Digest_tbl.mem seen d) then begin
+      Config.Digest_tbl.replace seen d ();
+      if not (Config.is_error c) then Queue.add c queue
+    end
+  in
+  visit (Step.init ctx);
+  while not (Queue.is_empty queue) do
+    let c = Queue.pop queue in
+    List.iter
+      (fun a -> visit (fst (Step.fire_action ctx c a)))
+      (Step.enabled_actions ctx c)
+  done;
+  Config.Digest_tbl.length seen
+
+let exe = "../bin/coanalyze.exe"
+
+let cache_tests =
   [
-    case "deep memo keys survive only under a full-width hash" (fun () ->
-        (* Keys that differ past the generic hash's ~10-node horizon all
-           land in one bucket, whose cap then evicts live entries — the
-           Phys_memo regression.  A full-width hash keeps every key. *)
-        let deep k = List.init 30 (fun i -> if i = 25 then k else i) in
-        let keys = Array.init 64 deep in
-        check_bool "generic hash collides on deep keys (the bug)" true
-          (Hashtbl.hash keys.(0) = Hashtbl.hash keys.(1));
-        let hits memo =
-          Array.iteri (fun i k -> Cobegin_hash.Phys_memo.add memo k i) keys;
-          Array.fold_left
-            (fun n k ->
-              match Cobegin_hash.Phys_memo.find memo k with
-              | Some _ -> n + 1
-              | None -> n)
-            0 keys
+    case "a one-process successor of a digested parent misses once"
+      (fun () ->
+        let ctx =
+          ctx_of
+            "proc main() { cobegin { skip; skip; } { skip; skip; } coend; }"
         in
-        let generic = Cobegin_hash.Phys_memo.create 64 in
-        let full_width =
-          Cobegin_hash.Phys_memo.create
-            ~hash:(fun l -> Cobegin_hash.hash_int_array (Array.of_list l))
-            64
+        let c, ps = advance ctx (Step.init ctx) in
+        ignore (Config.digest c : Config.digest);
+        let c', _ = Step.fire ctx c (List.hd ps) in
+        check_int "no process forked or ended" (Config.num_procs c)
+          (Config.num_procs c');
+        let hits, misses =
+          memo_deltas (fun () -> ignore (Config.digest c' : Config.digest))
         in
-        check_bool "bucket cap evicts under the generic hash" true
-          (hits generic < Array.length keys);
-        check_int "every key retained under the full-width hash"
-          (Array.length keys) (hits full_width));
+        check_int "one pool intern: the process that moved" 1 misses;
+        check_int "the other processes, the store and the counters reused"
+          (Config.num_procs c' + 1)
+          hits;
+        let _, misses =
+          memo_deltas (fun () -> ignore (Config.digest c' : Config.digest))
+        in
+        check_int "a repeated digest interns nothing" 0 misses);
+    case "cached digests equal cache-free ones on the corpus (SC/TSO/PSO)"
+      (fun () ->
+        List.iter
+          (fun model ->
+            List.iter
+              (fun (name, src) ->
+                let n =
+                  iter_reached ~model src (fun c d ->
+                      if
+                        not
+                          (Config.digest_equal d
+                             (Config.digest (without_ids c)))
+                      then
+                        Alcotest.failf "%s/%s: cached digest differs" name
+                          (Step.model_name model))
+                in
+                check_bool (name ^ " explored") true (n > 0))
+              Cobegin_models.Corpus.all)
+          Step.[ Sc; Tso; Pso ]);
+    case "a checkpoint resumes exactly in a process with a warm interner"
+      (fun () ->
+        let phil3 = Option.get (Cobegin_models.Corpus.find "phil3") in
+        let model = Filename.temp_file "cobegin-intern" ".cob" in
+        let ckpt = Filename.temp_file "cobegin-intern" ".ckpt" in
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter
+              (fun f -> try Sys.remove f with Sys_error _ -> ())
+              [ model; ckpt ])
+          (fun () ->
+            Out_channel.with_open_bin model (fun oc ->
+                output_string oc phil3);
+            (* another process numbers phil3's components from 0 *)
+            let argv =
+              [| exe; "explore"; model; "--checkpoint"; ckpt;
+                 "--checkpoint-every"; "100";
+                 "--chaos"; "crash@checkpoint.pop:300" |]
+            in
+            let out, inp, err =
+              Unix.open_process_args_full exe argv (Unix.environment ())
+            in
+            close_out inp;
+            ignore (In_channel.input_all out : string);
+            ignore (In_channel.input_all err : string);
+            (match Unix.close_process_full (out, inp, err) with
+            | Unix.WEXITED 3 -> ()
+            | _ -> Alcotest.fail "expected the injected kill (exit 3)");
+            (* this one has interned the rest of the corpus first *)
+            List.iter
+              (fun (name, src) ->
+                if name <> "phil3" then
+                  ignore (Cobegin_explore.Space.full (ctx_of src)))
+              Cobegin_models.Corpus.all;
+            let resumed =
+              Cobegin_explore.Checkpoint.resume ~path:ckpt (ctx_of phil3)
+            in
+            let clean = Cobegin_explore.Space.full (ctx_of phil3) in
+            check_int "configurations"
+              clean.Cobegin_explore.Space.stats.configurations
+              resumed.Cobegin_explore.Space.stats.configurations;
+            check_bool "every resumed count equals Space.full's" true
+              (resumed.Cobegin_explore.Space.stats
+             = clean.Cobegin_explore.Space.stats)));
   ]
 
 let repr_audit_tests =
@@ -187,5 +296,4 @@ let repr_audit_tests =
           (mk ~site:1 ~dest:None <> mk ~site:1 ~dest:(Some (Ast.Lvar "x"))));
   ]
 
-let suite =
-  digest_tests @ distribution_tests @ phys_memo_tests @ repr_audit_tests
+let suite = digest_tests @ distribution_tests @ cache_tests @ repr_audit_tests

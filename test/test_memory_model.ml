@@ -341,24 +341,30 @@ let checkpoint_tests =
             | exception Checkpoint.Corrupt _ -> ()
             | _ -> Alcotest.fail "SC resume of a TSO checkpoint accepted"));
     case "version-1 checkpoint files are refused" (fun () ->
-        let path = checkpoint_path () in
-        Fun.protect
-          ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-          (fun () ->
-            (* Forge a file with the real magic but the pre-buffer
-               format version.  The header is two immediate ints, so a
-               structurally identical record marshals the same. *)
-            let oc = open_out_bin path in
-            output_string oc "COBEGIN-CKPT\n";
-            Marshal.to_channel oc (1, 0) [];
-            close_out oc;
-            match
-              Checkpoint.resume ~path (ctx_of_model Step.Sc (corpus_src "mutex"))
-            with
-            | exception Checkpoint.Corrupt msg ->
-                check_bool "message names the version" true
-                  (String.length msg > 0)
-            | _ -> Alcotest.fail "version-1 file accepted"));
+        (* and version 3, whose pool snapshot printed procedure strings
+           into the process representations *)
+        List.iter
+          (fun v ->
+            let path = checkpoint_path () in
+            Fun.protect
+              ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+              (fun () ->
+                (* Forge a file with the real magic but an old format
+                   version.  The header is two immediate ints, so a
+                   structurally identical record marshals the same. *)
+                let oc = open_out_bin path in
+                output_string oc "COBEGIN-CKPT\n";
+                Marshal.to_channel oc (v, 0) [];
+                close_out oc;
+                match
+                  Checkpoint.resume ~path
+                    (ctx_of_model Step.Sc (corpus_src "mutex"))
+                with
+                | exception Checkpoint.Corrupt msg ->
+                    check_bool "message names the version" true
+                      (String.length msg > 0)
+                | _ -> Alcotest.failf "version-%d file accepted" v))
+          [ 1; 3 ]);
   ]
 
 let suite =
