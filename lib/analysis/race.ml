@@ -121,7 +121,7 @@ let find ?(max_configs = 200_000) ?budget ?probe ctx : result =
   let r =
     Space.run ~max_configs ?budget ?probe ctx
       {
-        (Space.engine ctx ~expand:(Step.enabled_actions ctx)) with
+        (Space.engine ctx ~expand:(fun _ enabled -> enabled)) with
         site = "races.pop";
         name = "races";
         counters = None;

@@ -275,7 +275,9 @@ let run_engine ~budget ?probe ?spans (opts : options) prog :
                 (fun _ -> Race.observer ctx)
             in
             let engine w =
-              let eng = Space.engine ctx ~expand:(Step.enabled_actions ctx) in
+              let eng =
+                Space.engine ctx ~expand:(fun _ enabled -> enabled)
+              in
               if opts.find_races then { eng with on_pop = fst scanners.(w) }
               else eng
             in

@@ -16,11 +16,15 @@ module Journal = Cobegin_obs.Journal
    more than ~0.4% of iterations. *)
 let journal_every = 256
 
-type shape =
+(* A live state carries what its expansion needs — typically the
+   enabled actions the engine computed to tell Deadlock from Live — so
+   they are computed once per pop, not once here and again in the
+   expansion. *)
+type 'w shape =
   | Error  (** an error configuration: terminal *)
   | Final  (** every process terminated: terminal *)
   | Deadlock  (** not final, nothing enabled: terminal *)
-  | Live  (** something is enabled: expand it *)
+  | Live of 'w  (** something is enabled: expand it *)
 
 (* Telemetry handles of one engine family, [counters prefix]: the
    [<prefix>.expansions] (pops), [.transitions], [.digest_hits] and
@@ -82,17 +86,19 @@ type ('s, 'v, 'e, 'tbl) run = {
   mutable stop : Budget.reason option;  (** the budget that stopped it *)
 }
 
-(** An engine: ['a] is an action, ['v] the value the visited table
-    records per state (nothing, or a sleep set), ['e] a transition's
-    instrumentation. *)
-type ('s, 'a, 'v, 'e, 'tbl) engine = {
+(** An engine: ['w] is what a live state's shape hands its expansion
+    (the enabled actions, say), ['a] an action, ['v] the value the
+    visited table records per state (nothing, or a sleep set), ['e] a
+    transition's instrumentation. *)
+type ('s, 'w, 'a, 'v, 'e, 'tbl) engine = {
   site : string;  (** fault site, hit once per pop *)
   name : string;  (** journal events [<name>.progress] / [<name>.done] *)
   counters : counters option;
-  shape : 's -> shape;
-  expand : 's -> 'v -> 'a list;
-      (** the actions to fire at a live state popped with ['v]: a subset
-          of the enabled ones, non-empty when any is *)
+  shape : 's -> 'w shape;
+  expand : 's -> 'v -> 'w -> 'a list;
+      (** the actions to fire at a live state popped with ['v], given
+          what [shape] returned for it: a subset of the enabled ones,
+          non-empty when any is *)
   fire : 's -> 'a -> 's * 'e;
   reached_with : 'a -> 'v;  (** the visited value of a successor *)
   revisit : recorded:'v -> 'v -> 'v option;
@@ -115,13 +121,14 @@ module type S = sig
 
   type nonrec 'e acc = (state, 'e) acc
   type nonrec ('v, 'e) run = (state, 'v, 'e, 'v Tbl.t) run
-  type nonrec ('a, 'v, 'e) engine = (state, 'a, 'v, 'e, 'v Tbl.t) engine
+  type nonrec ('w, 'a, 'v, 'e) engine =
+    (state, 'w, 'a, 'v, 'e, 'v Tbl.t) engine
 
   val start : state -> 'v -> ('v, 'e) run
   (** A fresh run: the initial state admitted with its visited value. *)
 
   val expand_one :
-    ('a, 'v, 'e) engine ->
+    ('w, 'a, 'v, 'e) engine ->
     'e acc ->
     admit:(state -> 'v -> bool) ->
     state ->
@@ -133,12 +140,12 @@ module type S = sig
       stopped the run).  The parallel engine's workers call it with a
       sharded admission. *)
 
-  val classify : ('a, 'v, 'e) engine -> 'e acc -> state -> bool
+  val classify : ('w, 'a, 'v, 'e) engine -> 'e acc -> state -> bool
   (** Show the state to [on_pop] and record it if terminal; [true] when
       it is live.  Alone, it is the drain step. *)
 
   val run :
-    ?probe:Probe.t -> budget:Budget.t -> ('a, 'v, 'e) engine -> ('v, 'e) run -> unit
+    ?probe:Probe.t -> budget:Budget.t -> ('w, 'a, 'v, 'e) engine -> ('v, 'e) run -> unit
   (** Loop until the queue empties or a budget stops the run ([stop]
       records why; never raises on exhaustion), drain, and journal
       [<name>.done]. *)
@@ -152,7 +159,8 @@ struct
 
   type nonrec 'e acc = (state, 'e) acc
   type nonrec ('v, 'e) run = (state, 'v, 'e, 'v Tbl.t) run
-  type nonrec ('a, 'v, 'e) engine = (state, 'a, 'v, 'e, 'v Tbl.t) engine
+  type nonrec ('w, 'a, 'v, 'e) engine =
+    (state, 'w, 'a, 'v, 'e, 'v Tbl.t) engine
 
   let start s0 v0 =
     let visited = Tbl.create 1024 in
@@ -161,36 +169,41 @@ struct
     Queue.add (s0, v0) queue;
     { visited; queue; acc = new_acc (); max_frontier = 0; pops = 0; stop = None }
 
-  (* Terminal states are recorded; [true] means "live, expand it". *)
-  let classify eng acc s =
+  (* Terminal states are recorded; a live one yields its shape's
+     payload. *)
+  let live eng acc s =
     eng.on_pop s;
     match eng.shape s with
     | Error ->
         acc.errors <- s :: acc.errors;
-        false
+        None
     | Final ->
         acc.finals <- s :: acc.finals;
-        false
+        None
     | Deadlock ->
         acc.deadlocks <- s :: acc.deadlocks;
-        false
-    | Live -> true
+        None
+    | Live w -> Some w
+
+  let classify eng acc s = Option.is_some (live eng acc s)
 
   let expand_one eng acc ~admit s v =
-    if classify eng acc s then
-      (* [admit] returning false breaks out of the expansion: once the
-         budget stops the run the remaining successors must not fire,
-         or transitions and event logs inflate past the stop *)
-      let rec fire_each = function
-        | [] -> ()
-        | a :: rest ->
-            acc.transitions <- acc.transitions + 1;
-            eng.on_fire ();
-            let s', e = eng.fire s a in
-            if eng.keep_log then acc.log <- e :: acc.log;
-            if admit s' (eng.reached_with a) then fire_each rest
-      in
-      fire_each (eng.expand s v)
+    match live eng acc s with
+    | None -> ()
+    | Some w ->
+        (* [admit] returning false breaks out of the expansion: once the
+           budget stops the run the remaining successors must not fire,
+           or transitions and event logs inflate past the stop *)
+        let rec fire_each = function
+          | [] -> ()
+          | a :: rest ->
+              acc.transitions <- acc.transitions + 1;
+              eng.on_fire ();
+              let s', e = eng.fire s a in
+              if eng.keep_log then acc.log <- e :: acc.log;
+              if admit s' (eng.reached_with a) then fire_each rest
+        in
+        fire_each (eng.expand s v w)
 
   (* Sequential admission: the visited-table probe, the engine's
      revisit rule, and the configuration guard. *)

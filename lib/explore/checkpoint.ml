@@ -14,8 +14,9 @@
    re-interns the snapshotted representations and remaps every saved
    digest (Config.digest_of_ids) before use.  Frontier and terminal
    configurations are marshaled structurally; they also carry the
-   writer's interned ids (Config.ids), so the restoring process rebuilds
-   each one through Config.make and digests it afresh.
+   writer's interned ids (Config.ids, and each environment's Env.id), so
+   the restoring process rebuilds each one through Config.make with its
+   environments' ids forgotten, and digests it afresh.
 
    Writes go to a temp file renamed into place, so a crash mid-write
    leaves the previous checkpoint intact, never a torn file. *)
@@ -47,9 +48,12 @@ let magic = "COBEGIN-CKPT\n"
    the program.  Version 3: the terminals, counters and event log are
    the exploration kernel's accumulator record.  Version 4: process
    representations in the pool snapshot key the procedure string and
-   pending-return destinations structurally.  Older files are refused
-   with [Corrupt]. *)
-let version = 4
+   pending-return destinations structurally.  Version 5: environments
+   carry a cached pool id and stores a cached hash, which changes the
+   marshaled shape of every configuration; a version-4 file read as
+   version 5 would be type confusion.  Older files are refused with
+   [Corrupt]. *)
+let version = 5
 
 type header = { hd_version : int; hd_program_hash : int }
 
@@ -140,11 +144,14 @@ let load_payload ~path ctx : payload =
       try (Marshal.from_channel ic : payload)
       with End_of_file | Failure _ -> raise (Corrupt "truncated payload"))
 
-(* Drop the writer's interned ids: they number the writer's pools, and
-   a warm interner here numbers the same components differently. *)
+(* Drop the writer's interned ids, the environments' included: they
+   number the writer's pools, and a warm interner here numbers the same
+   components differently.  A store's cached hash depends on its cells
+   alone, so it stays. *)
 let without_ids (c : Config.t) =
-  Config.make ~procs:c.procs ~store:c.store ~counters:c.counters
-    ~error:c.error
+  Config.make
+    ~procs:(Config.PidMap.map Proc.forget_ids c.procs)
+    ~store:c.store ~counters:c.counters ~error:c.error
 
 let live_of_payload (p : payload) =
   let t0 = Unix.gettimeofday () in
@@ -226,7 +233,7 @@ let run ?(max_configs = 1_000_000) ?budget ?probe ~cadence ~path ctx live :
   in
   Space.Kernel.run ?probe ~budget
     {
-      (Space.engine ctx ~expand:(Step.enabled_actions ctx)) with
+      (Space.engine ctx ~expand:(fun _ enabled -> enabled)) with
       site = "checkpoint.pop";
       on_boundary;
     }

@@ -22,13 +22,15 @@
     produced it (a full-width hash of the marshaled AST, combined with
     the model name, is stored in the header); resuming under a
     different program or model, a different format version, or a torn
-    file raises {!Corrupt}.  Format version 4: the payload is the
+    file raises {!Corrupt}.  Format version 5: the payload is the
     exploration kernel's run state (configurations may carry per-process
-    store buffers, and the identity hash binds the model), and the pool
-    snapshot holds process representations keyed structurally by
-    procedure string — files of earlier versions are refused.  Restored
-    configurations are rebuilt without the writer's interned ids, so a
-    resume in a process whose interner is already warm is exact too.
+    store buffers, environments their cached pool id and stores their
+    cached hash, and the identity hash binds the model), and the pool
+    snapshot holds deep process representations ({!Proc.repr}, no
+    environment ids) — files of earlier versions are refused.  Restored
+    configurations are rebuilt without the writer's interned ids,
+    environment ids included, so a resume in a process whose interner
+    is already warm is exact too.
     Telemetry: [checkpoint.saves] / [checkpoint.restores] counters,
     [checkpoint.save_ms] / [checkpoint.restore_ms] histograms. *)
 

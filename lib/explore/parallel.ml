@@ -1,6 +1,6 @@
 (* Multi-domain state-space generation (OCaml 5 domains).
 
-   Same contract as Space.explore — breadth-ish generation of the
+   Same contract as Space.run — breadth-ish generation of the
    configuration graph under a pluggable expansion strategy — but the
    work is spread over [jobs] domains:
 
@@ -308,10 +308,6 @@ let run ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx ~engine :
     }
   end
 
-let explore ?max_configs ?budget ?probe ?spans ~jobs ctx ~expand =
-  run ?max_configs ?budget ?probe ?spans ~jobs ctx ~engine:(fun _ ->
-      Space.engine ctx ~expand)
-
 let full ?max_configs ?budget ?probe ?spans ~jobs ctx =
-  explore ?max_configs ?budget ?probe ?spans ~jobs ctx
-    ~expand:(Step.enabled_actions ctx)
+  run ?max_configs ?budget ?probe ?spans ~jobs ctx ~engine:(fun _ ->
+      Space.engine ctx ~expand:(fun _ enabled -> enabled))

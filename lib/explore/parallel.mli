@@ -1,6 +1,6 @@
 (** Multi-domain state-space generation (OCaml 5 domains).
 
-    Drop-in parallel equivalent of {!Space.explore}: the visited set is
+    Drop-in parallel equivalent of {!Space.run}: the visited set is
     sharded into mutex-protected digest tables, each of [jobs] domains
     owns a work queue and steals from the others when its own runs dry,
     and global progress (admissions, transitions, the truncation latch)
@@ -25,7 +25,7 @@
     which configurations were admitted before the trip — and therefore
     the partial counts — is schedule-dependent, unlike the sequential
     engine.  The admitted-but-unexpanded frontier is still classified
-    into the terminal counts, exactly like {!Space.explore}. *)
+    into the terminal counts, exactly like {!Space.run}. *)
 
 open Cobegin_semantics
 
@@ -36,7 +36,7 @@ exception
     in-flight counter) and joins, and the failure is re-raised as this
     structured diagnostic on the calling domain — [cause] is the
     original exception, [backtrace] its captured trace.  Raised by
-    {!explore}/{!full} after the join; partial results are discarded
+    {!run}/{!full} after the join; partial results are discarded
     (a crashed expansion cannot vouch for them). *)
 
 val run :
@@ -46,7 +46,9 @@ val run :
   ?spans:Cobegin_obs.Span.t ->
   jobs:int ->
   Step.ctx ->
-  engine:(int -> (Step.action, unit, Step.events) Space.Kernel.engine) ->
+  engine:
+    (int ->
+    (Step.action list, Step.action, unit, Step.events) Space.Kernel.engine) ->
   Space.result
 (** [run ~jobs ctx ~engine]: worker [w] pops with
     {!Space.Kernel.expand_one} under [engine w] (built once, before the
@@ -57,30 +59,6 @@ val run :
     share of the truncation drain, after the join.  [jobs <= 1] runs
     [engine 0] through {!Space.run}. *)
 
-val explore :
-  ?max_configs:int ->
-  ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
-  ?spans:Cobegin_obs.Span.t ->
-  jobs:int ->
-  Step.ctx ->
-  expand:(Config.t -> Step.action list) ->
-  Space.result
-(** [explore ~jobs ctx ~expand] generates the configuration graph on
-    [jobs] domains.  [jobs <= 1] delegates to {!Space.explore} — the
-    sequential engine, byte-for-byte.  [expand] must be a {e pure}
-    function of the configuration (the full-interleaving expansion is;
-    strategies with mutable selection state, e.g. {!Sleep}, are not and
-    stay sequential).  When [budget] is omitted, one is created with
-    [max_configs] in shared (multi-domain) mode; a caller-supplied
-    budget should be created with [~shared:true] so truncation is
-    latched once across domains.  [probe] is ticked by worker 0 only
-    (probes are single-domain).  When [spans] is given, each worker
-    domain runs inside its own ["worker<i>"] span, so the trace export
-    renders one lane per worker; workers also journal their
-    start/finish (and failures, at [Error]) when the process journal is
-    running. *)
-
 val full :
   ?max_configs:int ->
   ?budget:Budget.t ->
@@ -89,4 +67,14 @@ val full :
   jobs:int ->
   Step.ctx ->
   Space.result
-(** Ordinary (full interleaving) generation on [jobs] domains. *)
+(** [full ~jobs ctx]: ordinary (full interleaving) generation on [jobs]
+    domains, each firing every enabled action.  [jobs <= 1] delegates to
+    {!Space.full} — the sequential engine, byte-for-byte.  When [budget]
+    is omitted, one is created with [max_configs] in shared
+    (multi-domain) mode; a caller-supplied budget should be created with
+    [~shared:true] so truncation is latched once across domains.
+    [probe] is ticked by worker 0 only (probes are single-domain).  When
+    [spans] is given, each worker domain runs inside its own
+    ["worker<i>"] span, so the trace export renders one lane per worker;
+    workers also journal their start/finish (and failures, at [Error])
+    when the process journal is running. *)

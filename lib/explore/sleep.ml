@@ -62,7 +62,7 @@ let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
      of the action, plus the earlier awake siblings independent of it.
      If everything chosen is asleep the configuration is covered by
      earlier permutations: nothing to fire. *)
-  let expand c sleep =
+  let expand c sleep _ =
     let chosen = Stubborn.choose_expansion mctx ctx c in
     let awake =
       if sc then

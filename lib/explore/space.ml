@@ -62,18 +62,24 @@ end)
 (* Telemetry handles: the space.* family, shared with Checkpoint. *)
 let counters = Worklist.counters "space"
 
-let shape ctx c : Worklist.shape =
+let shape ctx c : Step.action list Worklist.shape =
   if Config.is_error c then Error
   else if Config.all_terminated c then Final
-  else match Step.enabled_actions ctx c with [] -> Deadlock | _ -> Live
+  else
+    match Step.enabled_actions ctx c with
+    | [] -> Deadlock
+    | actions -> Live actions
 
-let engine ctx ~expand : (Step.action, unit, Step.events) Kernel.engine =
+(* [expand c enabled] picks the actions to fire from the enabled ones
+   [shape] computed: one evaluation of them per pop. *)
+let engine ctx ~expand :
+    (Step.action list, Step.action, unit, Step.events) Kernel.engine =
   {
     site = "space.pop";
     name = "space";
     counters = Some counters;
     shape = shape ctx;
-    expand = (fun c () -> expand c);
+    expand = (fun c () enabled -> expand c enabled);
     fire = Step.fire_action ctx;
     reached_with = (fun _ -> ());
     revisit = (fun ~recorded:() () -> None);
@@ -120,11 +126,15 @@ let run ?(max_configs = 1_000_000) ?budget ?probe ctx eng v0 =
    action is enabled.  Exhausting the budget stops the generation
    cleanly: everything visited so far is returned, tagged truncated. *)
 let explore ?max_configs ?budget ?probe ctx ~expand : result =
-  run ?max_configs ?budget ?probe ctx (engine ctx ~expand) ()
+  run ?max_configs ?budget ?probe ctx
+    (engine ctx ~expand:(fun c _ -> expand c))
+    ()
 
 (* Ordinary (full interleaving) generation. *)
 let full ?max_configs ?budget ?probe ctx =
-  explore ?max_configs ?budget ?probe ctx ~expand:(Step.enabled_actions ctx)
+  run ?max_configs ?budget ?probe ctx
+    (engine ctx ~expand:(fun _ enabled -> enabled))
+    ()
 
 (* Canonical set of final stores, for strategy comparisons.  Keyed on
    the hash-consed store id — an int compare per element instead of

@@ -2,8 +2,8 @@
 
     Breadth-first construction of the configuration graph of a program
     under a pluggable {e expansion strategy}: [full] fires every enabled
-    process at every configuration; {!Stubborn} and {!Sleep} plug reduced
-    strategies into {!explore}.  The engine accumulates configuration and
+    process at every configuration; {!Stubborn} (through {!explore}) and
+    {!Sleep} (through {!run}) plug in reduced strategies.  The engine accumulates configuration and
     transition counts, the terminal configurations (final, deadlocked,
     erroneous) and the merged instrumentation log consumed by the
     analyses of Cobegin_analysis. *)
@@ -56,24 +56,27 @@ end
 module Kernel :
   Worklist.S with type state = Config.t and module Tbl = Config.Digest_tbl
 
-val shape : Step.ctx -> Config.t -> Worklist.shape
+val shape : Step.ctx -> Config.t -> Step.action list Worklist.shape
 (** Error, final (every process terminated), deadlock (nothing
-    enabled), or live. *)
+    enabled), or live with its enabled actions. *)
 
 val engine :
   Step.ctx ->
-  expand:(Config.t -> Step.action list) ->
-  (Step.action, unit, Step.events) Kernel.engine
+  expand:(Config.t -> Step.action list -> Step.action list) ->
+  (Step.action list, Step.action, unit, Step.events) Kernel.engine
 (** The plain generation engine: site [space.pop], the [space.*]
     counters and journal events, the instrumentation log kept, no-op
-    hooks.  Variants are record updates of it. *)
+    hooks.  At each live configuration [c] it fires [expand c enabled],
+    where [enabled] is the list {!shape} computed, so {!Step.enabled_actions}
+    is evaluated once per pop; full generation passes
+    [fun _ enabled -> enabled].  Variants are record updates of it. *)
 
 val run :
   ?max_configs:int ->
   ?budget:Budget.t ->
   ?probe:Cobegin_obs.Probe.t ->
   Step.ctx ->
-  ('a, 'v, Step.events) Kernel.engine ->
+  ('w, 'a, 'v, Step.events) Kernel.engine ->
   'v ->
   result
 (** [run ctx eng v0] runs [eng] from the initial configuration,

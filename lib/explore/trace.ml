@@ -33,7 +33,8 @@ let search ?(max_configs = 200_000) ctx ~(pred : Config.t -> bool) :
          counters = None;
          shape = Space.shape ctx;
          expand =
-           (fun c _ -> List.map (fun p -> (c, p)) (Step.enabled_processes ctx c));
+           (fun c _ _ ->
+             List.map (fun p -> (c, p)) (Step.enabled_processes ctx c));
          fire = (fun c (_, p) -> Step.fire ctx c p);
          reached_with = (fun (c, p) -> Some (c, p.Proc.pid));
          revisit = (fun ~recorded:_ _ -> None);

@@ -66,8 +66,9 @@ let explore ?(max_states = 10_000_000) ?budget net ~expand =
       name = "reach";
       counters = None;
       shape =
-        (fun m -> if Net.is_deadlock net m then Worklist.Deadlock else Live);
-      expand = (fun m () -> expand m);
+        (fun m ->
+          if Net.is_deadlock net m then Worklist.Deadlock else Live ());
+      expand = (fun m () () -> expand m);
       fire = (fun m t -> (Net.fire m t, ()));
       reached_with = (fun _ -> ());
       revisit = (fun ~recorded:() () -> None);

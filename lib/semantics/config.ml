@@ -85,7 +85,8 @@ let with_store store c =
 
 let with_error msg c = { c with error = Some msg }
 
-(* Canonical representation for hashing and equality. *)
+(* The deep canonical representation: the ground truth that digest
+   equality agrees with (E14 and the intern tests compare against it). *)
 type repr = {
   r_procs : Proc.repr list;
   r_store : (Value.loc * Value.t) list;
@@ -106,7 +107,7 @@ let repr c =
    equivalent to repr equality, at the cost of comparing a handful of
    ints instead of deep lists. *)
 type digest = {
-  d_procs : int array; (* interned Proc reprs, in pid order *)
+  d_procs : int array; (* interned Proc keys, in pid order *)
   d_store : int;
   d_counters : int;
   d_error : int;

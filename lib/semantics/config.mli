@@ -61,8 +61,8 @@ type repr
 val repr : t -> repr
 
 type digest = {
-  d_procs : int array;  (** interned {!Proc.repr} ids, in pid order *)
-  d_store : int;  (** interned {!Store.repr} id *)
+  d_procs : int array;  (** interned {!Proc.key} ids, in pid order *)
+  d_store : int;  (** interned store id *)
   d_counters : int;  (** interned counter-map id *)
   d_error : int;  (** -1, or the interned error string id *)
   d_hash : int;  (** precomputed full-width hash of the tuple *)
@@ -74,9 +74,11 @@ val digest : t -> digest
 (** Intern against the process-wide default interner
     ({!Intern.global}).  Only the components whose ids [t] does not
     carry yet are interned; the ids are then stored on [t], so a
-    one-process step re-serializes only the changed process (and the
-    store or counters, when written) and a repeated digest interns
-    nothing.  Cost: O(changed components) plus O(#procs log #procs) to
+    one-process step interns only the changed process (and the store
+    or counters, when written) and a repeated digest interns nothing.
+    The changed process is keyed shallowly ({!Proc.key}: environments
+    by their cached {!Env.id}) and the store by its cached
+    {!Store.hash}.  Cost: O(changed components) plus O(#procs log #procs) to
     assemble the tuple.  Counts [intern.memo_hits] (an id reused) and
     [intern.memo_misses] (a pool intern). *)
 

@@ -9,7 +9,27 @@ val empty : t
 val find : string -> t -> Value.loc option
 val bind : string -> Value.loc -> t -> t
 val bindings : t -> (string * Value.loc) list
-val equal : t -> t -> bool
+
+val of_bindings : (string * Value.loc) list -> t
+(** The environment binding exactly these names (the last binding of a
+    repeated name wins). *)
+
+val id : t -> int
+(** The environment's number in a process-wide hash-consing pool: equal
+    binding maps get equal ids, and distinct ones distinct ids.
+    Computed on the first call and cached on the value, so a step that
+    does not bind — and so passes its environment on physically — never
+    hashes it again.  Counts [intern.env_interns] when it asks the
+    pool.  Ids are valid for the life of the process only. *)
+
+val forget_id : t -> t
+(** The same bindings with no cached id, for values that come from
+    another process (a checkpoint), whose ids number that process's
+    pool. *)
+
+val interned : unit -> t array
+(** Every environment the pool holds, indexed by id — what a
+    checkpoint needs to turn ids back into bindings. *)
 
 val locations : t -> Value.LocSet.t
 (** The locations named by the environment's bindings. *)

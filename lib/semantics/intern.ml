@@ -1,9 +1,11 @@
 (* Hash-consed interning of configuration components (see intern.mli).
 
-   Layout: one Pool per component kind, keyed by the component's
-   canonical representation under a full-width structural hash.  A
-   configuration carries the ids of its already-interned components
-   (Config), so only the components a step changed reach this module. *)
+   Layout: one Pool per component kind under a full-width structural
+   hash.  Processes key on the shallow Proc.key (environments by their
+   Env.id), stores on the store itself (its cached Store.hash and
+   Store.equal), counters on their sorted bindings.  A configuration
+   carries the ids of its already-interned components (Config), so only
+   the components a step changed reach this module. *)
 
 module H = Cobegin_hash
 
@@ -15,24 +17,7 @@ module CounterMap = Map.Make (struct
     if c <> 0 then c else Int.compare s1 s2
 end)
 
-(* --- full-width hashes over canonical representations --- *)
-
-let hash_pid (p : Value.pid) =
-  H.hash_list (fun (cob, idx) -> H.combine cob idx) p
-
-let hash_loc (l : Value.loc) =
-  H.combine
-    (hash_pid l.Value.l_pid)
-    (H.combine l.Value.l_site (H.combine l.Value.l_seq l.Value.l_off))
-
-let hash_value = function
-  | Value.Vint n -> H.combine 0x1 (H.hash_int n)
-  | Value.Vbool b -> H.combine 0x2 (H.hash_bool b)
-  | Value.Vloc l -> H.combine 0x3 (hash_loc l)
-  | Value.Vfun f -> H.combine 0x4 (H.hash_string f)
-
-let hash_env_bindings bs =
-  H.hash_list (fun (x, l) -> H.combine (H.hash_string x) (hash_loc l)) bs
+(* --- full-width hashes over the pool keys --- *)
 
 let hash_pstring_frame = function
   | Pstring.Fcall { proc; site; inst } ->
@@ -42,50 +27,47 @@ let hash_pstring_frame = function
 
 (* A pending return's destination is not hashed: within one program the
    call site determines it, and equality still compares it. *)
-let hash_item_repr = function
-  | Proc.Rstmt label -> H.combine 0x21 (H.hash_int label)
-  | Proc.Rpop bs -> H.combine 0x22 (hash_env_bindings bs)
-  | Proc.Rret (site, _, bs) ->
-      H.combine 0x23 (H.combine site (hash_env_bindings bs))
+let hash_item_key = function
+  | Proc.Rstmt label -> H.combine 0x21 label
+  | Proc.Rpop env -> H.combine 0x22 env
+  | Proc.Rret (site, _, env) -> H.combine 0x23 (H.combine site env)
   | Proc.Rjoin (cob, children) ->
-      H.combine 0x24 (H.combine cob (H.hash_list hash_pid children))
+      H.combine 0x24 (H.combine cob (H.hash_list Value.hash_pid children))
 
 let hash_buf entries =
-  H.hash_list (fun (l, v) -> H.combine (hash_loc l) (hash_value v)) entries
+  H.hash_list
+    (fun (l, v) -> H.combine (Value.hash_loc l) (Value.hash_value v))
+    entries
 
-let hash_proc_repr (r : Proc.repr) =
+let hash_proc_key (k : Proc.key) =
   H.combine
-    (hash_pid r.Proc.r_pid)
-    (H.combine
-       (hash_env_bindings r.Proc.r_env)
+    (Value.hash_pid k.Proc.r_pid)
+    (H.combine k.Proc.r_env
        (H.combine
-          (H.hash_list hash_item_repr r.Proc.r_stack)
+          (H.hash_list hash_item_key k.Proc.r_stack)
           (H.combine
-             (H.hash_list hash_pstring_frame r.Proc.r_pstr)
-             (hash_buf r.Proc.r_buf))))
-
-let hash_store_repr bs =
-  H.hash_list (fun (l, v) -> H.combine (hash_loc l) (hash_value v)) bs
+             (H.hash_list hash_pstring_frame k.Proc.r_pstr)
+             (hash_buf k.Proc.r_buf))))
 
 let hash_counter_bindings bs =
   H.hash_list
-    (fun ((pid, site), n) -> H.combine (hash_pid pid) (H.combine site n))
+    (fun ((pid, site), n) -> H.combine (Value.hash_pid pid) (H.combine site n))
     bs
 
 (* --- pools --- *)
 
 module Proc_pool = H.Pool (struct
-  type t = Proc.repr
+  type t = Proc.key
 
   let equal = ( = )
-  let hash = hash_proc_repr
+  let hash = hash_proc_key
 end)
 
 module Store_pool = H.Pool (struct
-  type t = (Value.loc * Value.t) list
+  type t = Store.t
 
-  let equal = ( = )
-  let hash = hash_store_repr
+  let equal = Store.equal
+  let hash = Store.hash
 end)
 
 module Counter_pool = H.Pool (struct
@@ -125,8 +107,8 @@ let create () =
 let the_global = create ()
 let global () = the_global
 
-let proc_id st p = Proc_pool.intern st.procs (Proc.repr p)
-let store_id st s = Store_pool.intern st.stores (Store.repr s)
+let proc_id st p = Proc_pool.intern st.procs (Proc.key p)
+let store_id st s = Store_pool.intern st.stores s
 let counters_id st m = Counter_pool.intern st.counters (CounterMap.bindings m)
 
 let error_id st = function
@@ -138,11 +120,13 @@ let distinct_stores st = Store_pool.size st.stores
 
 (* --- snapshot / restore (checkpointing) ---
 
-   A snapshot is the canonical representations of every pool, indexed
-   by id.  Restoring re-interns them into a (possibly already
-   populated) interner and returns the old-id → new-id maps, so
-   digests serialized alongside a snapshot can be rebuilt against the
-   restoring process's pools.  Restoring into a fresh interner is the
+   A snapshot is the deep canonical representations of every pool,
+   indexed by id: process keys and stores are turned back into
+   Proc.repr and sorted cells, because environment ids number this
+   process's environment pool only.  Restoring re-interns them into a
+   (possibly already populated) interner and returns the old-id →
+   new-id maps, so digests serialized alongside a snapshot can be
+   rebuilt against the restoring process's pools.  Restoring into a fresh interner is the
    identity remap (reprs are re-interned in saved-id order); restoring
    into a warm one still yields valid, stable ids — only the numbers
    change, and the remap records how. *)
@@ -154,32 +138,24 @@ type snapshot = {
   sn_errors : string array;
 }
 
-let pool_array (type k) ~(entries : (k * int) list) ~(size : int) : k array =
+let pool_array (type k) (entries : (k * int) list) : k array =
   match entries with
   | [] -> [||]
   | (k0, _) :: _ ->
-      let a = Array.make size k0 in
+      let a = Array.make (List.length entries) k0 in
       List.iter (fun (k, id) -> a.(id) <- k) entries;
       a
 
+(* The environments are listed after the process keys, so every
+   environment id a listed key holds is covered. *)
 let snapshot st =
+  let procs = pool_array (Proc_pool.entries st.procs) in
+  let envs = Env.interned () in
   {
-    sn_procs =
-      pool_array
-        ~entries:(Proc_pool.entries st.procs)
-        ~size:(Proc_pool.size st.procs);
-    sn_stores =
-      pool_array
-        ~entries:(Store_pool.entries st.stores)
-        ~size:(Store_pool.size st.stores);
-    sn_counters =
-      pool_array
-        ~entries:(Counter_pool.entries st.counters)
-        ~size:(Counter_pool.size st.counters);
-    sn_errors =
-      pool_array
-        ~entries:(String_pool.entries st.errors)
-        ~size:(String_pool.size st.errors);
+    sn_procs = Array.map (Proc.repr_of_key ~env:(Array.get envs)) procs;
+    sn_stores = Array.map Store.repr (pool_array (Store_pool.entries st.stores));
+    sn_counters = pool_array (Counter_pool.entries st.counters);
+    sn_errors = pool_array (String_pool.entries st.errors);
   }
 
 type remap = {
@@ -193,9 +169,18 @@ type remap = {
    resolve to their existing ids; saved-id order makes a fresh pool's
    remap the identity. *)
 let restore st snap =
+  let store_of cells =
+    List.fold_left (fun s (l, v) -> Store.set l v s) Store.empty cells
+  in
   {
-    rm_procs = Array.map (Proc_pool.intern st.procs) snap.sn_procs;
-    rm_stores = Array.map (Store_pool.intern st.stores) snap.sn_stores;
+    rm_procs =
+      Array.map
+        (fun r -> Proc_pool.intern st.procs (Proc.key_of_repr r))
+        snap.sn_procs;
+    rm_stores =
+      Array.map
+        (fun cells -> Store_pool.intern st.stores (store_of cells))
+        snap.sn_stores;
     rm_counters = Array.map (Counter_pool.intern st.counters) snap.sn_counters;
     rm_errors = Array.map (String_pool.intern st.errors) snap.sn_errors;
   }

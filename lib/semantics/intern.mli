@@ -3,13 +3,15 @@
     The exploration engines fold states through their canonical
     representations — deep nested lists that OCaml's generic hash
     truncates after ~10 nodes.  This layer interns each component of a
-    configuration ({!Proc.repr}, {!Store.repr}, the allocation-counter
-    map, the error marker) into a small integer id with a {e full-width}
+    configuration (a process, the store, the allocation-counter map,
+    the error marker) into a small integer id with a {e full-width}
     structural hash, so a whole configuration collapses to a flat int
     tuple ({!Config.digest}) whose equality and hashing are O(#procs).
 
-    Every [*_id] call here builds the component's canonical
-    representation and looks it up in its pool.  Incrementality lives
+    Every [*_id] call here looks the component up in its pool.  A
+    process is keyed by its shallow {!Proc.key}, whose environments are
+    hash-consed ids ({!Env.id}); a store by itself, through its cached
+    {!Store.hash} and {!Store.equal}.  Incrementality lives
     one level up: a configuration carries the ids of its components
     once digested, and a step forgets only the ids of what it changed,
     so {!Config.digest} calls this module for the changed components
@@ -18,7 +20,8 @@
     Invariants:
     - id equality is equivalent to structural equality of the canonical
       representation ([proc_id a = proc_id b] iff
-      [Proc.repr a = Proc.repr b], and likewise for the other pools);
+      [Proc.repr a = Proc.repr b], [store_id a = store_id b] iff
+      [Store.repr a = Store.repr b], and likewise for the others);
     - ids are never reused, so digests remain valid for the lifetime of
       the interner that produced them.
 
@@ -55,8 +58,9 @@ val distinct_stores : state -> int
 (** {2 Snapshot / restore}
 
     Checkpointing support ({!Cobegin_explore.Checkpoint}): a snapshot
-    captures the canonical representations behind every interned id, so
-    digests serialized to disk can be rebuilt in another process. *)
+    captures the deep canonical representations behind every interned
+    id ({!Proc.repr}, {!Store.repr}, never environment ids), so digests
+    serialized to disk can be rebuilt in another process. *)
 
 type snapshot
 (** The id-indexed contents of all four pools.  Pure data
@@ -78,15 +82,3 @@ val restore : state -> snapshot -> remap
     process yields the identity remap; restoring into a warm interner
     yields valid ids that merely differ in numbering.  The saved error
     id [-1] ([None]) is not in the map — it stays [-1]. *)
-
-(** {2 Full-width hashes over canonical representations}
-
-    Exposed for the intern pools themselves and for clients that hash
-    representation fragments directly (tests, the Petri substrate). *)
-
-val hash_pid : Value.pid -> int
-val hash_loc : Value.loc -> int
-val hash_value : Value.t -> int
-val hash_proc_repr : Proc.repr -> int
-val hash_store_repr : (Value.loc * Value.t) list -> int
-val hash_counter_bindings : ((Value.pid * int) * int) list -> int

@@ -26,59 +26,78 @@ type t = {
 let make ?(buf = []) ~pid ~env ~stack ~pstr () =
   { pid; env; stack; pstr; buf }
 
-let item_equal i1 i2 =
-  match (i1, i2) with
-  | Istmt s1, Istmt s2 -> s1.Ast.label = s2.Ast.label
-  | Ipop e1, Ipop e2 -> Env.equal e1 e2
-  | Iret r1, Iret r2 ->
-      r1.dest = r2.dest && r1.site = r2.site
-      && Env.equal r1.saved_env r2.saved_env
-  | Ijoin j1, Ijoin j2 ->
-      j1.cob = j2.cob
-      && List.equal (fun a b -> Value.compare_pid a b = 0) j1.children j2.children
-  | (Istmt _ | Ipop _ | Iret _ | Ijoin _), _ -> false
-
-let buf_entry_equal (l1, v1) (l2, v2) =
-  Value.compare_loc l1 l2 = 0 && Value.compare_value v1 v2 = 0
-
-let equal p1 p2 =
-  Value.compare_pid p1.pid p2.pid = 0
-  && Env.equal p1.env p2.env
-  && List.equal item_equal p1.stack p2.stack
-  && Pstring.equal p1.pstr p2.pstr
-  && List.equal buf_entry_equal p1.buf p2.buf
-
-(* A canonical, hashable digest of a process: statement items are
-   identified by label; environments by their sorted bindings; the
-   procedure string and the store buffer (order-significant) are kept
-   verbatim — both are pure data, so nothing is printed. *)
-type item_repr =
+(* Canonical forms of a process, over a form ['e] of its environments:
+   statement items are identified by label; the procedure string and
+   the store buffer (order-significant) are kept verbatim — both are
+   pure data, so nothing is printed.  [repr] keeps each environment's
+   sorted bindings: the deep ground truth, and what checkpoints save.
+   [key] keeps its Env.id: the shallow identity the intern pool keys
+   on, so hashing and comparing a key touches a few ints, not binding
+   lists.  Equal bindings have equal ids, so the two agree. *)
+type 'e item_form =
   | Rstmt of int
-  | Rpop of (string * Value.loc) list
-  | Rret of int * Ast.lvalue option * (string * Value.loc) list
+  | Rpop of 'e
+  | Rret of int * Ast.lvalue option * 'e
   | Rjoin of int * Value.pid list
 
-let item_repr = function
-  | Istmt s -> Rstmt s.Ast.label
-  | Ipop e -> Rpop (Env.bindings e)
-  | Iret { dest; saved_env; site } -> Rret (site, dest, Env.bindings saved_env)
-  | Ijoin { cob; children } -> Rjoin (cob, children)
-
-type repr = {
+type 'e form = {
   r_pid : Value.pid;
-  r_env : (string * Value.loc) list;
-  r_stack : item_repr list;
+  r_env : 'e;
+  r_stack : 'e item_form list;
   r_pstr : Pstring.t;
   r_buf : (Value.loc * Value.t) list;
 }
 
-let repr p =
+type item_repr = (string * Value.loc) list item_form
+type repr = (string * Value.loc) list form
+type key = int form
+
+let item_form env = function
+  | Istmt s -> Rstmt s.Ast.label
+  | Ipop e -> Rpop (env e)
+  | Iret { dest; saved_env; site } -> Rret (site, dest, env saved_env)
+  | Ijoin { cob; children } -> Rjoin (cob, children)
+
+let form env p =
   {
     r_pid = p.pid;
-    r_env = Env.bindings p.env;
-    r_stack = List.map item_repr p.stack;
+    r_env = env p.env;
+    r_stack = List.map (item_form env) p.stack;
     r_pstr = p.pstr;
     r_buf = p.buf;
+  }
+
+let map_envs f r =
+  {
+    r with
+    r_env = f r.r_env;
+    r_stack =
+      List.map
+        (function
+          | Rstmt l -> Rstmt l
+          | Rpop e -> Rpop (f e)
+          | Rret (site, dest, e) -> Rret (site, dest, f e)
+          | Rjoin (cob, children) -> Rjoin (cob, children))
+        r.r_stack;
+  }
+
+let item_repr = item_form Env.bindings
+let repr = form Env.bindings
+let key = form Env.id
+let key_of_repr = map_envs (fun bs -> Env.id (Env.of_bindings bs))
+let repr_of_key ~env = map_envs (fun id -> Env.bindings (env id))
+
+let forget_ids p =
+  {
+    p with
+    env = Env.forget_id p.env;
+    stack =
+      List.map
+        (function
+          | Ipop e -> Ipop (Env.forget_id e)
+          | Iret r -> Iret { r with saved_env = Env.forget_id r.saved_env }
+          | (Istmt _ | Ijoin _) as i -> i)
+        p.stack;
   }
 
 (* The statement the process will execute next, if its top item is one. *)

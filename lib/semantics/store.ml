@@ -5,7 +5,10 @@
    state fold.
 
    Freeing removes the cells; any later access to a removed location is a
-   runtime error surfaced as an error configuration. *)
+   runtime error surfaced as an error configuration.
+
+   [hash] caches a hash of the cells, -1 until a digest first asks for
+   it; every update that changes the cells resets it. *)
 
 type t = {
   cells : Value.t Value.LocMap.t;
@@ -13,6 +16,7 @@ type t = {
   heap : Value.LocSet.t; (* locations created by malloc *)
   exposed : Value.LocSet.t; (* address-taken variables' locations *)
   blocks : int Value.LocMap.t; (* malloc base location -> block size *)
+  mutable hash : int;
 }
 
 let empty =
@@ -22,16 +26,20 @@ let empty =
     heap = Value.LocSet.empty;
     exposed = Value.LocSet.empty;
     blocks = Value.LocMap.empty;
+    hash = -1;
   }
 
 let find loc st = Value.LocMap.find_opt loc st.cells
 let mem loc st = Value.LocMap.mem loc st.cells
-let set loc v st = { st with cells = Value.LocMap.add loc v st.cells }
+
+let set loc v st =
+  { st with cells = Value.LocMap.add loc v st.cells; hash = -1 }
 
 let alloc ?(heap = false) ?(exposed = false) ~birth loc v st =
   {
     st with
     cells = Value.LocMap.add loc v st.cells;
+    hash = -1;
     births = Value.LocMap.add loc birth st.births;
     heap = (if heap then Value.LocSet.add loc st.heap else st.heap);
     exposed =
@@ -39,7 +47,11 @@ let alloc ?(heap = false) ?(exposed = false) ~birth loc v st =
   }
 
 let free locs st =
-  { st with cells = Value.LocSet.fold Value.LocMap.remove locs st.cells }
+  {
+    st with
+    cells = Value.LocSet.fold Value.LocMap.remove locs st.cells;
+    hash = -1;
+  }
 
 let birth loc st = Value.LocMap.find_opt loc st.births
 let is_heap loc st = Value.LocSet.mem loc st.heap
@@ -68,7 +80,27 @@ let block_cells loc st =
    cells only. *)
 let repr st = Value.LocMap.bindings st.cells
 
-let equal a b = Value.LocMap.equal Value.equal_value a.cells b.cells
+(* A sum of per-cell hashes: it does not depend on the order the cells
+   are visited in.  Two domains may fill one store's hash at once; both
+   compute the same value, so either write is right. *)
+let hash st =
+  if st.hash >= 0 then st.hash
+  else begin
+    let sum =
+      Value.LocMap.fold
+        (fun l v acc ->
+          acc + Cobegin_hash.combine (Value.hash_loc l) (Value.hash_value v))
+        st.cells 0
+    in
+    let h = Cobegin_hash.hash_int sum in
+    st.hash <- h;
+    h
+  end
+
+let equal a b =
+  a.cells == b.cells
+  || hash a = hash b
+     && Value.LocMap.equal Value.equal_value a.cells b.cells
 
 let bindings st = Value.LocMap.bindings st.cells
 

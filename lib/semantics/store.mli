@@ -35,9 +35,16 @@ val block_cells : Value.loc -> t -> Value.LocSet.t option
     registered block. *)
 
 val repr : t -> (Value.loc * Value.t) list
-(** Canonical representation (cells only, sorted) for hashing. *)
+(** Canonical representation: the cells, sorted by location. *)
+
+val hash : t -> int
+(** A full-width hash of the cells alone, independent of the order they
+    were written in.  Computed on the first call and cached on the
+    value; an update that changes the cells starts over. *)
 
 val equal : t -> t -> bool
+(** Equal cells (metadata ignored).  Compares cached hashes first. *)
+
 val bindings : t -> (Value.loc * Value.t) list
 
 val pp : Format.formatter -> t -> unit

@@ -89,6 +89,21 @@ let pp ppf = function
   | Vloc l -> pp_loc ppf l
   | Vfun f -> Format.fprintf ppf "proc:%s" f
 
+(* Full-width hashes (Cobegin_hash): every node contributes, so they key
+   the intern pools and the stores' cached cell hash. *)
+module H = Cobegin_hash
+
+let hash_pid (p : pid) = H.hash_list (fun (cob, idx) -> H.combine cob idx) p
+
+let hash_loc (l : loc) =
+  H.combine (hash_pid l.l_pid) (H.combine l.l_site (H.combine l.l_seq l.l_off))
+
+let hash_value = function
+  | Vint n -> H.combine 0x1 (H.hash_int n)
+  | Vbool b -> H.combine 0x2 (H.hash_bool b)
+  | Vloc l -> H.combine 0x3 (hash_loc l)
+  | Vfun f -> H.combine 0x4 (H.hash_string f)
+
 let type_name = function
   | Vint _ -> "int"
   | Vbool _ -> "bool"

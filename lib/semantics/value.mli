@@ -38,5 +38,10 @@ val compare_value : t -> t -> int
 val equal_value : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
+val hash_pid : pid -> int
+val hash_loc : loc -> int
+val hash_value : t -> int
+(** Full-width hashes ({!Cobegin_hash}): every node contributes. *)
+
 val type_name : t -> string
 (** For error messages: "int", "bool", "pointer", "procedure". *)

@@ -180,6 +180,47 @@ let iter_reached ~model src f =
 
 let exe = "../bin/coanalyze.exe"
 
+(* Another process explores [src] under [model] with checkpoints and is
+   killed by an injected crash; this process, whose interner has seen
+   the rest of the corpus first, resumes the file and must get
+   [Space.full]'s counts. *)
+let resume_in_warm_interner ~model name src =
+  let tmp = Filename.temp_file "cobegin-intern" ".cob" in
+  let ckpt = Filename.temp_file "cobegin-intern" ".ckpt" in
+  let ctx_of src = Step.make_ctx ~model (parse src) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ tmp; ckpt ])
+    (fun () ->
+      Out_channel.with_open_bin tmp (fun oc -> output_string oc src);
+      (* the other process numbers the model's components from 0 *)
+      let argv =
+        [| exe; "explore"; tmp; "--memory-model"; Step.model_name model;
+           "--checkpoint"; ckpt; "--checkpoint-every"; "100";
+           "--chaos"; "crash@checkpoint.pop:300" |]
+      in
+      let out, inp, err =
+        Unix.open_process_args_full exe argv (Unix.environment ())
+      in
+      close_out inp;
+      ignore (In_channel.input_all out : string);
+      ignore (In_channel.input_all err : string);
+      (match Unix.close_process_full (out, inp, err) with
+      | Unix.WEXITED 3 -> ()
+      | _ -> Alcotest.failf "%s: expected the injected kill (exit 3)" name);
+      List.iter
+        (fun (other, src) ->
+          if other <> name then ignore (Cobegin_explore.Space.full (ctx_of src)))
+        Cobegin_models.Corpus.all;
+      let resumed = Cobegin_explore.Checkpoint.resume ~path:ckpt (ctx_of src) in
+      let clean = Cobegin_explore.Space.full (ctx_of src) in
+      check_int (name ^ " configurations")
+        clean.Cobegin_explore.Space.stats.configurations
+        resumed.Cobegin_explore.Space.stats.configurations;
+      check_bool (name ^ ": every resumed count equals Space.full's") true
+        (resumed.Cobegin_explore.Space.stats
+       = clean.Cobegin_explore.Space.stats))
+
 let cache_tests =
   [
     case "a one-process successor of a digested parent misses once"
@@ -225,48 +266,115 @@ let cache_tests =
           Step.[ Sc; Tso; Pso ]);
     case "a checkpoint resumes exactly in a process with a warm interner"
       (fun () ->
-        let phil3 = Option.get (Cobegin_models.Corpus.find "phil3") in
-        let model = Filename.temp_file "cobegin-intern" ".cob" in
-        let ckpt = Filename.temp_file "cobegin-intern" ".ckpt" in
-        Fun.protect
-          ~finally:(fun () ->
-            List.iter
-              (fun f -> try Sys.remove f with Sys_error _ -> ())
-              [ model; ckpt ])
-          (fun () ->
-            Out_channel.with_open_bin model (fun oc ->
-                output_string oc phil3);
-            (* another process numbers phil3's components from 0 *)
-            let argv =
-              [| exe; "explore"; model; "--checkpoint"; ckpt;
-                 "--checkpoint-every"; "100";
-                 "--chaos"; "crash@checkpoint.pop:300" |]
-            in
-            let out, inp, err =
-              Unix.open_process_args_full exe argv (Unix.environment ())
-            in
-            close_out inp;
-            ignore (In_channel.input_all out : string);
-            ignore (In_channel.input_all err : string);
-            (match Unix.close_process_full (out, inp, err) with
-            | Unix.WEXITED 3 -> ()
-            | _ -> Alcotest.fail "expected the injected kill (exit 3)");
-            (* this one has interned the rest of the corpus first *)
-            List.iter
-              (fun (name, src) ->
-                if name <> "phil3" then
-                  ignore (Cobegin_explore.Space.full (ctx_of src)))
-              Cobegin_models.Corpus.all;
-            let resumed =
-              Cobegin_explore.Checkpoint.resume ~path:ckpt (ctx_of phil3)
-            in
-            let clean = Cobegin_explore.Space.full (ctx_of phil3) in
-            check_int "configurations"
-              clean.Cobegin_explore.Space.stats.configurations
-              resumed.Cobegin_explore.Space.stats.configurations;
-            check_bool "every resumed count equals Space.full's" true
-              (resumed.Cobegin_explore.Space.stats
-             = clean.Cobegin_explore.Space.stats)));
+        (* phil3 under SC, and peterson under PSO, whose saved frontier
+           holds buffered processes: their environments come back with
+           the writer's ids and must be rebuilt *)
+        List.iter
+          (fun (name, model) ->
+            resume_in_warm_interner ~model name
+              (Option.get (Cobegin_models.Corpus.find name)))
+          Step.[ ("phil3", Sc); ("peterson", Pso) ]);
+  ]
+
+(* Hash-consed environments and self-hashing stores: ids follow the
+   bindings and the cells, never the order they were built in, and a
+   step that binds nothing interns no environment. *)
+
+let m_env_interns = Cobegin_obs.Metrics.counter "intern.env_interns"
+
+let env_interns f =
+  let module M = Cobegin_obs.Metrics in
+  let was = M.enabled () in
+  M.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> M.set_enabled was)
+    (fun () ->
+      let n0 = M.counter_value m_env_interns in
+      f ();
+      M.counter_value m_env_interns - n0)
+
+let loc ?(pid = []) site =
+  { Value.l_pid = pid; l_site = site; l_seq = 0; l_off = 0 }
+
+(* Bind sequences over three names and three locations: short enough
+   that two random ones often bind equally, by different orders and
+   with shadowing. *)
+let bind_seq =
+  QCheck2.Gen.(
+    list_size (int_range 0 6)
+      (pair (oneofl [ "a"; "b"; "c" ]) (int_range 0 2)))
+
+let env_of seq =
+  List.fold_left (fun e (x, site) -> Env.bind x (loc site) e) Env.empty seq
+
+let hashcons_tests =
+  [
+    qtest ~count:500 "equal env ids iff equal bindings"
+      QCheck2.Gen.(pair bind_seq bind_seq)
+      (fun (s1, s2) ->
+        let e1 = env_of s1 and e2 = env_of s2 in
+        Env.id e1 = Env.id e2 = (Env.bindings e1 = Env.bindings e2)
+        && Env.id (env_of (List.rev s1))
+           = Env.id (Env.of_bindings (Env.bindings (env_of (List.rev s1)))));
+    case "stores equal in cells get one store id" (fun () ->
+        let st = Intern.create () in
+        let a = loc 1 and b = loc 2 and c = loc ~pid:[ (7, 0) ] 3 in
+        let v n = Value.Vint n in
+        let birth = Pstring.empty in
+        let s1 =
+          Store.empty
+          |> Store.alloc ~birth a (v 0)
+          |> Store.alloc ~birth b (v 2)
+          |> Store.set a (v 1)
+        in
+        (* other order, other metadata, a cell allocated and freed *)
+        let s2 =
+          Store.empty
+          |> Store.alloc ~heap:true ~exposed:true
+               ~birth:[ Pstring.Fbranch { cob = 4; idx = 1; inst = 9 } ]
+               b (v 2)
+          |> Store.alloc ~birth c (v 5)
+          |> Store.set a (v 1)
+          |> Store.register_block c 1
+          |> Store.free (Value.LocSet.singleton c)
+        in
+        let s3 = Store.set b (v 3) s1 in
+        check_bool "same cells (ground truth)" true
+          (Store.repr s1 = Store.repr s2);
+        check_int "same hash" (Store.hash s1) (Store.hash s2);
+        check_bool "Store.equal" true (Store.equal s1 s2);
+        check_int "one store id" (Intern.store_id st s1) (Intern.store_id st s2);
+        check_bool "a changed cell is another store" true
+          (Intern.store_id st s1 <> Intern.store_id st s3);
+        check_int "setting it back is the first store again"
+          (Intern.store_id st s1)
+          (Intern.store_id st (Store.set b (v 2) s3)));
+    case "a step that leaves a process's env unchanged interns no env"
+      (fun () ->
+        let ctx =
+          ctx_of
+            "proc main() { var x = 0; cobegin { x = 1; var y = 2; y = 3; } \
+             { skip; } coend; }"
+        in
+        let c, ps = advance ctx (Step.init ctx) in
+        ignore (Config.digest c : Config.digest);
+        let writer =
+          List.find
+            (fun (p : Proc.t) ->
+              match Proc.next_stmt p with
+              | Some { Cobegin_lang.Ast.kind = Cobegin_lang.Ast.Sassign _; _ } ->
+                  true
+              | _ -> false)
+            ps
+        in
+        let c', _ = Step.fire ctx c writer in
+        check_int "an assignment keeps the env: nothing to intern" 0
+          (env_interns (fun () -> ignore (Config.digest c' : Config.digest)));
+        let p' = Option.get (Config.find_proc writer.Proc.pid c') in
+        let c'', _ = Step.fire ctx c' p' in
+        check_bool "a declaration interns the env it builds" true
+          (env_interns (fun () -> ignore (Config.digest c'' : Config.digest))
+          > 0));
   ]
 
 let repr_audit_tests =
@@ -296,4 +404,6 @@ let repr_audit_tests =
           (mk ~site:1 ~dest:None <> mk ~site:1 ~dest:(Some (Ast.Lvar "x"))));
   ]
 
-let suite = digest_tests @ distribution_tests @ cache_tests @ repr_audit_tests
+let suite =
+  digest_tests @ distribution_tests @ cache_tests @ hashcons_tests
+  @ repr_audit_tests
