@@ -1138,9 +1138,11 @@ module Make (N : Lattice.NUMERIC) = struct
       c.called
 
   let analyze ?(widen = N.widen) ?(locksets = true) ?(widen_after = 2)
-      ?(max_rounds = 200) ?budget ?probe (prog : Ast.program) : outcome =
-    let mhp = Mhp.of_program prog in
-    let ls = Lockset.analyze mhp in
+      ?(max_rounds = 200) ?budget ?probe ?facts (prog : Ast.program) : outcome
+      =
+    let mhp, ls =
+      match facts with Some f -> Lazy.force f | None -> Lockset.facts prog
+    in
     let at = Mhp.addr_taken mhp in
     let shared = compute_shared mhp in
     let prot, prot_by =
@@ -1346,7 +1348,7 @@ let harvest_thresholds (prog : Ast.program) =
        [ 0; 1 ] prog)
 
 let run ?(domain = Analyzer.Intervals) ?(locksets = true) ?(widen_after = 2)
-    ?(max_rounds = 200) ?budget ?probe (prog : Ast.program) : summary =
+    ?(max_rounds = 200) ?budget ?probe ?facts (prog : Ast.program) : summary =
   let mk (o : outcome) =
     {
       domain;
@@ -1369,18 +1371,23 @@ let run ?(domain = Analyzer.Intervals) ?(locksets = true) ?(widen_after = 2)
       mk
         (I_interval.analyze
            ~widen:(Interval.widen_thresholds ts)
-           ~locksets ~widen_after ~max_rounds ?budget ?probe prog)
+           ~locksets ~widen_after ~max_rounds ?budget ?probe ?facts prog)
   | Analyzer.Constants ->
-      mk (I_const.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe prog)
+      mk
+        (I_const.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe
+           ?facts prog)
   | Analyzer.Signs ->
-      mk (I_sign.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe prog)
+      mk
+        (I_sign.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe
+           ?facts prog)
   | Analyzer.Parities ->
       mk
-        (I_parity.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe prog)
+        (I_parity.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe
+           ?facts prog)
   | Analyzer.Interval_parity ->
       mk
         (I_int_parity.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe
-           prog)
+           ?facts prog)
 
 let pp_summary ppf s =
   Format.fprintf ppf

@@ -88,10 +88,13 @@ val run :
   ?max_rounds:int ->
   ?budget:Budget.t ->
   ?probe:Cobegin_obs.Probe.t ->
+  ?facts:(Cobegin_static.Mhp.t * Cobegin_static.Lockset.t) Lazy.t ->
   Ast.program ->
   summary
 (** Defaults: intervals (with widening thresholds harvested from the
     program's integer constants), locksets on, widening from round 2,
-    at most 200 rounds (then [Truncated (Fuel _)]). *)
+    at most 200 rounds (then [Truncated (Fuel _)]).  [facts] is
+    {!Cobegin_static.Lockset.facts} of the same program, when the
+    caller shares it with the lints; computed here otherwise. *)
 
 val pp_summary : Format.formatter -> summary -> unit

@@ -58,12 +58,13 @@ let stmt_label_of (p : Proc.t) =
 
 type result = { races : RaceSet.t; status : Budget.status }
 
-(* Record every co-enabled conflicting pair of [c] in [races].
-   Synchronization operations (lock/unlock/await) contend by design;
-   their accesses are not anomalies.  The scan stays on statement-level
-   accesses: under TSO/PSO a flush publishes a write already charged
-   (and scanned) at its issue point. *)
-let scan ctx races c =
+(* Record every co-enabled conflicting pair among [enabled], the
+   enabled processes of [c], in [races].  Synchronization operations
+   (lock/unlock/await) contend by design; their accesses are not
+   anomalies.  The scan stays on statement-level accesses: under TSO/PSO
+   a flush publishes a write already charged (and scanned) at its issue
+   point. *)
+let scan ctx races c enabled =
   let is_sync (p : Proc.t) =
     match Proc.next_stmt p with
     | Some { Ast.kind = Ast.Sacquire _ | Ast.Srelease _ | Ast.Sawait _; _ } ->
@@ -74,7 +75,7 @@ let scan ctx races c =
     List.filter_map
       (fun p ->
         if is_sync p then None else Some (p, Step.action_footprint ctx c p))
-      (Step.enabled_processes ctx c)
+      enabled
   in
   let module LS = Value.LocSet in
   let rec pairs = function
@@ -106,9 +107,19 @@ let scan ctx races c =
   in
   pairs with_fp
 
+(* The processes of a live state's [Arun] actions are its enabled
+   processes, in pid order; error, final and deadlocked states have
+   none. *)
 let observer ctx =
   let races = ref RaceSet.empty in
-  ((fun c -> if not (Config.is_error c) then scan ctx races c), fun () -> !races)
+  ( (fun c -> function
+      | Worklist.Live actions ->
+          scan ctx races c
+            (List.filter_map
+               (function Step.Arun p -> Some p | Step.Aflush _ -> None)
+               actions)
+      | Error | Final | Deadlock -> ()),
+    fun () -> !races )
 
 (* The scan as its own exploration: the full engine (over every action
    alternative — under TSO/PSO flush interleavings reach configurations

@@ -32,12 +32,17 @@ type result = {
       (** [Truncated _] when the scan covered only a reachable prefix *)
 }
 
-val observer : Step.ctx -> (Config.t -> unit) * (unit -> RaceSet.t)
+val observer :
+  Step.ctx ->
+  (Config.t -> Step.action list Worklist.shape -> unit)
+  * (unit -> RaceSet.t)
 (** [observer ctx] is the pair scan as an exploration observer: a hook
     for {!Cobegin_explore.Space.Kernel}'s [on_pop] that records the
-    co-enabled conflicting pairs of every non-error configuration it is
-    shown, and a reader of the races recorded so far.  Hooked into a
-    complete full exploration it finds exactly {!find}'s races. *)
+    co-enabled conflicting pairs of every live configuration it is
+    shown — the processes of its shape's [Arun] actions, so the enabled
+    actions are evaluated once per pop — and a reader of the races
+    recorded so far.  Hooked into a complete full exploration it finds
+    exactly {!find}'s races. *)
 
 val find :
   ?max_configs:int ->

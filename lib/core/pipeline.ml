@@ -449,12 +449,16 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
     in
     go 1
   in
+  (* The lints and the interference engine both start from the MHP
+     relation and the locksets: computed once, on first use, inside
+     whichever stage's guard forces it first. *)
+  let facts = lazy (Cobegin_static.Lockset.facts prog) in
   (* the static lints run before (and independently of) exploration:
      they are polynomial in program size, so no budget governs them *)
   let static =
     if options.lint then
       stage "static-lint" ~default:None (fun () ->
-          Some (Cobegin_static.Lint.run prog))
+          Some (Cobegin_static.Lint.run ~facts prog))
     else None
   in
   (* the interference engine is thread-modular — polynomial, but its
@@ -468,7 +472,7 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
         | Concrete_full | Concrete_stubborn -> Analyzer.Intervals
       in
       stage "interfere" ~default:None (fun () ->
-          Some (Interfere.run ~domain ~budget ?probe prog))
+          Some (Interfere.run ~domain ~budget ?probe ~facts prog))
     else None
   in
   (* Exploration runs under a degradation ladder instead of the plain

@@ -105,7 +105,8 @@ type ('s, 'w, 'a, 'v, 'e, 'tbl) engine = {
       (** a successor already visited with [recorded]: [Some v] records
           [v] and re-queues it, [None] drops it *)
   keep_log : bool;  (** keep each transition's ['e] in [acc.log] *)
-  on_pop : 's -> unit;  (** each classified state: pops and drain *)
+  on_pop : 's -> 'w shape -> unit;
+      (** each classified state with its shape: pops and drain *)
   on_fire : unit -> unit;  (** each fired transition *)
   on_boundary : ('s, 'v, 'e, 'tbl) run -> unit;
       (** before each pop, and once when a budget stops the run *)
@@ -172,8 +173,9 @@ struct
   (* Terminal states are recorded; a live one yields its shape's
      payload. *)
   let live eng acc s =
-    eng.on_pop s;
-    match eng.shape s with
+    let shape = eng.shape s in
+    eng.on_pop s shape;
+    match shape with
     | Error ->
         acc.errors <- s :: acc.errors;
         None

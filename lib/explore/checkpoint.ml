@@ -14,9 +14,9 @@
    re-interns the snapshotted representations and remaps every saved
    digest (Config.digest_of_ids) before use.  Frontier and terminal
    configurations are marshaled structurally; they also carry the
-   writer's interned ids (Config.ids, and each environment's Env.id), so
-   the restoring process rebuilds each one through Config.make with its
-   environments' ids forgotten, and digests it afresh.
+   writer's interned ids and recorded edges (on processes, stores,
+   environments and the counter map), so the restoring process rebuilds
+   each one through Config.forget_ids and digests it afresh.
 
    Writes go to a temp file renamed into place, so a crash mid-write
    leaves the previous checkpoint intact, never a torn file. *)
@@ -51,9 +51,11 @@ let magic = "COBEGIN-CKPT\n"
    pending-return destinations structurally.  Version 5: environments
    carry a cached pool id and stores a cached hash, which changes the
    marshaled shape of every configuration; a version-4 file read as
-   version 5 would be type confusion.  Older files are refused with
-   [Corrupt]. *)
-let version = 5
+   version 5 would be type confusion.  Version 6: processes and stores
+   carry their own ids, and stores, environments and counter maps the
+   edge that derived them; the process pool snapshots through its
+   int-keyed parts.  Older files are refused with [Corrupt]. *)
+let version = 6
 
 type header = { hd_version : int; hd_program_hash : int }
 
@@ -144,15 +146,6 @@ let load_payload ~path ctx : payload =
       try (Marshal.from_channel ic : payload)
       with End_of_file | Failure _ -> raise (Corrupt "truncated payload"))
 
-(* Drop the writer's interned ids, the environments' included: they
-   number the writer's pools, and a warm interner here numbers the same
-   components differently.  A store's cached hash depends on its cells
-   alone, so it stays. *)
-let without_ids (c : Config.t) =
-  Config.make
-    ~procs:(Config.PidMap.map Proc.forget_ids c.procs)
-    ~store:c.store ~counters:c.counters ~error:c.error
-
 let live_of_payload (p : payload) =
   let t0 = Unix.gettimeofday () in
   let rm = Intern.restore (Intern.global ()) p.ck_pools in
@@ -170,14 +163,16 @@ let live_of_payload (p : payload) =
     (fun d -> Config.Digest_tbl.replace visited (remap_digest d) ())
     p.ck_visited;
   let queue = Queue.create () in
-  List.iter (fun c -> Queue.add (without_ids c, ()) queue) p.ck_frontier;
+  (* the writer's ids and edges number its pools, and warm pools here
+     number the same components differently *)
+  List.iter (fun c -> Queue.add (Config.forget_ids c, ()) queue) p.ck_frontier;
   let acc = p.ck_acc in
   let acc =
     {
       acc with
-      finals = List.map without_ids acc.finals;
-      deadlocks = List.map without_ids acc.deadlocks;
-      errors = List.map without_ids acc.errors;
+      finals = List.map Config.forget_ids acc.finals;
+      deadlocks = List.map Config.forget_ids acc.deadlocks;
+      errors = List.map Config.forget_ids acc.errors;
     }
   in
   Metrics.incr m_restores;

@@ -10,7 +10,7 @@
    would only rediscover a permutation of an explored interleaving.
 
    We implement the standard combination: at each configuration take the
-   persistent set from [Stubborn.choose_expansion], then prune it with
+   persistent set from [Stubborn.choose], then prune it with
    the inherited sleep set; the successor's sleep set keeps the earlier
    siblings whose footprints are independent of the fired action.
 
@@ -62,8 +62,8 @@ let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
      of the action, plus the earlier awake siblings independent of it.
      If everything chosen is asleep the configuration is covered by
      earlier permutations: nothing to fire. *)
-  let expand c sleep _ =
-    let chosen = Stubborn.choose_expansion mctx ctx c in
+  let expand c sleep enabled =
+    let chosen = Stubborn.choose mctx ctx c enabled in
     let awake =
       if sc then
         List.filter (fun a -> not (PidSet.mem (Step.action_pid a) sleep)) chosen
@@ -112,7 +112,7 @@ let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
           if PidSet.subset recorded sleep' then None
           else Some (PidSet.inter recorded sleep'));
       keep_log = true;
-      on_pop = ignore;
+      on_pop = (fun _ _ -> ());
       on_fire =
         (fun () ->
           Option.iter

@@ -84,7 +84,7 @@ let engine ctx ~expand :
     reached_with = (fun _ -> ());
     revisit = (fun ~recorded:() () -> None);
     keep_log = true;
-    on_pop = ignore;
+    on_pop = (fun _ _ -> ());
     on_fire = ignore;
     on_boundary = ignore;
   }
@@ -140,13 +140,10 @@ let full ?max_configs ?budget ?probe ctx =
    the hash-consed store id — an int compare per element instead of
    polymorphic [compare] over whole store representations, and immune
    to any structural-compare/physical-sharing subtleties: id equality
-   is exactly structural equality of the canonical repr (Intern).  The
+   is exactly structural equality of the canonical repr (Store.id).  The
    repr payload is kept for the caller; ids only order and dedup. *)
 let final_store_reprs (r : result) =
-  let interner = Intern.global () in
-  List.map
-    (fun c -> (Intern.store_id interner c.Config.store, c.Config.store))
-    r.final_configs
+  List.map (fun c -> (Store.id c.Config.store, c.Config.store)) r.final_configs
   |> List.sort_uniq (fun (i, _) (j, _) -> Int.compare i j)
   |> List.map (fun (_, s) -> Store.repr s)
 

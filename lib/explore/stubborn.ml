@@ -48,8 +48,8 @@ let union parent i j =
   let ri = find parent i and rj = find parent j in
   if ri <> rj then parent.(ri) <- rj
 
-let choose_procs ?stats mctx ctx (c : Config.t) : Proc.t list =
-  let enabled = Step.enabled_processes ctx c in
+let choose_procs ?stats mctx ctx (c : Config.t) (enabled : Proc.t list) :
+    Proc.t list =
   match enabled with
   | [] -> []
   | [ _ ] ->
@@ -176,28 +176,40 @@ let choose_procs ?stats mctx ctx (c : Config.t) : Proc.t list =
    actions only: it does not see the pending flushes of a store buffer,
    which conflict with every future access of their locations.  Under
    TSO/PSO we therefore degenerate to full expansion — sound, no
-   reduction — and count every such step as a full expansion. *)
-let choose_expansion ?stats mctx ctx (c : Config.t) : Step.action list =
+   reduction — and count every such step as a full expansion.  Under SC
+   the enabled actions are exactly [Arun] of each enabled process, in
+   pid order. *)
+let choose ?stats mctx ctx (c : Config.t) (enabled : Step.action list) :
+    Step.action list =
   match ctx.Step.model with
-  | Step.Sc -> List.map (fun p -> Step.Arun p) (choose_procs ?stats mctx ctx c)
+  | Step.Sc ->
+      List.map
+        (fun p -> Step.Arun p)
+        (choose_procs ?stats mctx ctx c
+           (List.filter_map
+              (function Step.Arun p -> Some p | Step.Aflush _ -> None)
+              enabled))
   | Step.Tso | Step.Pso ->
-      let actions = Step.enabled_actions ctx c in
-      (match actions with
+      (match enabled with
       | [] -> ()
       | _ ->
           Option.iter
             (fun s -> s.full_expansions <- s.full_expansions + 1)
             stats;
           if Metrics.enabled () then begin
-            let k = List.length actions in
+            let k = List.length enabled in
             Metrics.observe h_set_size k;
             Metrics.add m_enabled_total k;
             Metrics.add m_chosen_total k
           end);
-      actions
+      enabled
+
+let choose_expansion ?stats mctx ctx c =
+  choose ?stats mctx ctx c (Step.enabled_actions ctx c)
 
 (* Stubborn-set exploration of a program. *)
 let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
   let mctx = Mayaccess.make_ctx ctx.Step.prog in
-  Space.explore ?max_configs ?budget ?probe ctx
-    ~expand:(choose_expansion ?stats mctx ctx)
+  Space.run ?max_configs ?budget ?probe ctx
+    (Space.engine ctx ~expand:(choose ?stats mctx ctx))
+    ()

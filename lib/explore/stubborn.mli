@@ -25,17 +25,28 @@ type reduction_stats = {
 
 val new_stats : unit -> reduction_stats
 
+val choose :
+  ?stats:reduction_stats ->
+  Mayaccess.ctx ->
+  Step.ctx ->
+  Config.t ->
+  Step.action list ->
+  Step.action list
+(** [choose mctx ctx c enabled] is the persistent set fired at [c],
+    given its enabled actions ({!Step.enabled_actions}, as
+    {!Space.shape} computed them): a non-empty subset of [enabled]
+    whenever it is non-empty.  Under {!Step.Sc} this is a persistent
+    set of processes (as [Arun] actions); under TSO/PSO the may-access
+    analysis does not model pending flushes, so every step degenerates
+    to full expansion (sound, no reduction). *)
+
 val choose_expansion :
   ?stats:reduction_stats ->
   Mayaccess.ctx ->
   Step.ctx ->
   Config.t ->
   Step.action list
-(** The persistent set fired at one configuration: a non-empty subset of
-    the enabled actions whenever any is enabled.  Under {!Step.Sc} this
-    is a persistent set of processes (as [Arun] actions); under
-    TSO/PSO the may-access analysis does not model pending flushes, so
-    every step degenerates to full expansion (sound, no reduction). *)
+(** {!choose} on the enabled actions it computes itself. *)
 
 val explore :
   ?max_configs:int ->

@@ -18,7 +18,7 @@ type witness = {
 let search ?(max_configs = 200_000) ctx ~(pred : Config.t -> bool) :
     witness option =
   let found = ref None in
-  let on_pop c =
+  let on_pop c _ =
     if pred c then begin
       found := Some c;
       raise Exit

@@ -46,9 +46,54 @@ module Pool (H : Hashtbl.HashedType) : sig
   val size : t -> int
   (** Number of distinct keys interned so far (= the next fresh id). *)
 
-  val entries : t -> (H.t * int) list
-  (** Every (key, id) pair interned so far, in no particular order,
-      read atomically under the pool mutex — the ids always form the
-      contiguous range [0..size-1].  For snapshot/restore
-      ({!Intern}). *)
+  val by_id : t -> H.t array
+  (** Every key interned so far, indexed by its id, read atomically
+      under the pool mutex.  For snapshot/restore ({!Intern}). *)
+end
+
+(** {2 Edges}
+
+    A value derived from a parent whose id is known by one edit (or a
+    short run of them) can record the derivation: the parent's id and
+    the edits since, newest first.  Its contents are a function of the
+    parent's contents and the edits, so [(base, edits) -> id] is a sound
+    memo in front of the value's pool. *)
+
+type 'e edge = private { base : int;  (** -1: none recorded *) edits : 'e list }
+
+val no_edge : 'e edge
+
+val derive : id:int -> 'e edge -> 'e -> 'e edge
+(** The edge of a value made by edit [e] from a parent with id [id]
+    ([-1] when unknown) and edge [edge]: from the parent when its id is
+    known, else the parent's edge extended (up to 8 edits), else
+    none. *)
+
+(** Edge memo: [(base id, edits) -> id].  It never forgets an entry and
+    never decides identity: every id it holds came from the value's
+    pool.  Mutex-guarded like {!Pool}. *)
+module Memo (E : Hashtbl.HashedType) : sig
+  type t
+
+  val create : int -> t
+
+  val resolve : t -> E.t edge -> hit:(unit -> unit) -> (unit -> int) -> int
+  (** [resolve m edge ~hit intern] is the recorded id of [edge] (calling
+      [hit]), else [intern ()], recorded for next time.  With no edge it
+      is [intern ()]. *)
+end
+
+(** A {!Pool} specialized to keys of five ints, for the interners whose
+    keys are ids of parts: flat arrays under open addressing, so a
+    lookup allocates nothing and follows no pointer.  Same contract as
+    {!Pool}: sequential, stable, never-reused ids, mutex-guarded. *)
+module Ipool : sig
+  type t
+
+  val create : int -> t
+  val intern : t -> int -> int -> int -> int -> int -> int
+  val size : t -> int
+
+  val by_id : t -> int array array
+  (** Every five-int key, indexed by its id, as {!Pool.by_id}. *)
 end

@@ -73,7 +73,7 @@ let explore ?(max_states = 10_000_000) ?budget net ~expand =
       reached_with = (fun _ -> ());
       revisit = (fun ~recorded:() () -> None);
       keep_log = false;
-      on_pop = ignore;
+      on_pop = (fun _ _ -> ());
       on_fire = ignore;
       on_boundary = ignore;
     }

@@ -18,26 +18,30 @@ end)
 (* Defined in Intern so the interner can take whole counter maps. *)
 module CounterMap = Intern.CounterMap
 
-(* The interned ids of the components already digested: [i_procs] maps
-   a pid to its process's id, and [-1] marks an unknown store or
-   counter id.  Every update below forgets exactly the ids of the
-   components it replaces, so a successor keeps its parent's ids for
-   everything the step left untouched.  Ids are those of the global
-   interner: only [digest] reads or fills them. *)
-type ids = { i_procs : int PidMap.t; i_store : int; i_counters : int }
-
-let unknown = { i_procs = PidMap.empty; i_store = -1; i_counters = -1 }
-
+(* A configuration keeps its counter map as plain data, so the map's
+   interned id sits here: [counters_id] is -1 until a digest fills it,
+   and a bump on a configuration whose counter id is known (or on one
+   derived from such by a few bumps) records the edge
+   (Cobegin_hash.derive) of bumped (pid, site) keys.  Processes and the
+   store carry their own ids. *)
 type t = {
   procs : Proc.t PidMap.t;
   store : Store.t;
   counters : int CounterMap.t; (* next sequence number per (pid, site) *)
   error : string option;
-  mutable ids : ids;
+  mutable counters_id : int;
+  counters_edge : (Value.pid * int) Cobegin_hash.edge;
 }
 
 let make ~procs ~store ~counters ~error =
-  { procs; store; counters; error; ids = unknown }
+  {
+    procs;
+    store;
+    counters;
+    error;
+    counters_id = -1;
+    counters_edge = Cobegin_hash.no_edge;
+  }
 
 let processes c = List.map snd (PidMap.bindings c.procs)
 let find_proc pid c = PidMap.find_opt pid c.procs
@@ -58,30 +62,31 @@ let next_seq ~pid ~site c =
     {
       c with
       counters = CounterMap.add key (seq + 1) c.counters;
-      ids = { c.ids with i_counters = -1 };
+      counters_id = -1;
+      counters_edge = Cobegin_hash.derive ~id:c.counters_id c.counters_edge key;
     } )
-
-let forget_proc pid ids =
-  let i_procs = PidMap.remove pid ids.i_procs in
-  if i_procs == ids.i_procs then ids else { ids with i_procs }
 
 (* [PidMap.add] and [PidMap.remove] return their argument when nothing
    changes (re-adding a physically equal process, removing an absent
-   pid): such an update keeps the configuration and its ids. *)
+   pid): such an update returns the configuration itself. *)
 let update_proc p c =
   let procs = PidMap.add p.Proc.pid p c.procs in
-  if procs == c.procs then c
-  else { c with procs; ids = forget_proc p.Proc.pid c.ids }
+  if procs == c.procs then c else { c with procs }
 
 let add_proc = update_proc
 
 let remove_proc pid c =
   let procs = PidMap.remove pid c.procs in
-  if procs == c.procs then c else { c with procs; ids = forget_proc pid c.ids }
+  if procs == c.procs then c else { c with procs }
 
-let with_store store c =
-  if store == c.store then c
-  else { c with store; ids = { c.ids with i_store = -1 } }
+let with_store store c = if store == c.store then c else { c with store }
+
+(* The same configuration with every cached id and recorded edge
+   forgotten, its components' included. *)
+let forget_ids c =
+  make
+    ~procs:(PidMap.map Proc.forget_ids c.procs)
+    ~store:(Store.forget_id c.store) ~counters:c.counters ~error:c.error
 
 let with_error msg c = { c with error = Some msg }
 
@@ -125,53 +130,52 @@ let digest_of_ids ~d_procs ~d_store ~d_counters ~d_error =
   in
   { d_procs; d_store; d_counters; d_error; d_hash }
 
-(* Hit rate of the id cache: a reused id is a hit, a pool intern a
-   miss.  No-ops (one branch) while telemetry is disabled. *)
+(* Hit rate of the id cache: an id read off a component is a hit, one
+   resolved (by an edge memo or a pool) a miss.  No-ops (one branch)
+   while telemetry is disabled. *)
 let m_memo_hits = Metrics.counter "intern.memo_hits"
 let m_memo_misses = Metrics.counter "intern.memo_misses"
 
-(* Interns only the components whose ids are unknown, then publishes the
-   completed ids on [c].  Under the parallel engine two domains may
-   digest one configuration at once; both compute the same ids (pool
-   ids do not depend on who asks first) and each writes an immutable
-   record, so whichever write lands last is equally right and a reader
-   sees either the old ids or complete ones. *)
+(* Reads each component's cached id and resolves the unknown ones,
+   which then stay cached on the components.  Under the parallel engine
+   two domains may digest one configuration at once; both compute the
+   same ids (ids do not depend on who asks first), so whichever write
+   lands last is equally right. *)
 let digest c =
   let st = Intern.global () in
-  let ids = c.ids in
   let d_procs = Array.make (PidMap.cardinal c.procs) 0 in
-  let misses = ref 0 and i_procs = ref ids.i_procs and i = ref 0 in
+  let misses = ref 0 and i = ref 0 in
   PidMap.iter
-    (fun pid p ->
+    (fun _ (p : Proc.t) ->
       let id =
-        match PidMap.find_opt pid ids.i_procs with
-        | Some id -> id
-        | None ->
-            incr misses;
-            let id = Intern.proc_id st p in
-            i_procs := PidMap.add pid id !i_procs;
-            id
+        if p.id >= 0 then p.id
+        else (
+          incr misses;
+          Proc.id p)
       in
       d_procs.(!i) <- id;
       incr i)
     c.procs;
   let d_store =
-    if ids.i_store >= 0 then ids.i_store
+    let s = c.store in
+    if Store.cached_id s >= 0 then Store.cached_id s
     else (
       incr misses;
-      Intern.store_id st c.store)
+      Store.id s)
   in
   let d_counters =
-    if ids.i_counters >= 0 then ids.i_counters
-    else (
+    if c.counters_id >= 0 then c.counters_id
+    else begin
       incr misses;
-      Intern.counters_id st c.counters)
+      let id = Intern.counters_id st ~edge:c.counters_edge c.counters in
+      c.counters_id <- id;
+      id
+    end
   in
-  if !misses > 0 then begin
+  if Metrics.enabled () then begin
     Metrics.add m_memo_misses !misses;
-    c.ids <- { i_procs = !i_procs; i_store = d_store; i_counters = d_counters }
+    Metrics.add m_memo_hits (Array.length d_procs + 2 - !misses)
   end;
-  Metrics.add m_memo_hits (Array.length d_procs + 2 - !misses);
   let d_error = Intern.error_id st c.error in
   digest_of_ids ~d_procs ~d_store ~d_counters ~d_error
 

@@ -7,20 +7,20 @@
 module PidMap : Map.S with type key = Value.pid
 module CounterMap : Map.S with type key = Value.pid * int
 
-type ids
-(** The interned ids of the components already digested (see
-    {!digest}); unknown for every component of a fresh configuration. *)
-
 type t = private {
   procs : Proc.t PidMap.t;
   store : Store.t;
   counters : int CounterMap.t;  (** next sequence number per (pid, site) *)
   error : string option;  (** a runtime failure: the configuration is terminal *)
-  mutable ids : ids;  (** filled by {!digest} only *)
+  mutable counters_id : int;  (** filled by {!digest} only; -1 until then *)
+  counters_edge : (Value.pid * int) Cobegin_hash.edge;
+      (** the (pid, site) bumps since a counter map with a known id *)
 }
 (** Private: configurations are built by {!make} and derived by the
-    updates below, which keep the ids of untouched components and
-    forget the rest — so no configuration carries a stale id. *)
+    updates below.  Processes and the store carry their own ids
+    ({!Proc.id}, {!Store.id}); the counter map's id lives here, and
+    only {!next_seq} changes the map — so no configuration carries a
+    stale id. *)
 
 val make :
   procs:Proc.t PidMap.t ->
@@ -28,7 +28,8 @@ val make :
   counters:int CounterMap.t ->
   error:string option ->
   t
-(** A configuration with every component id unknown. *)
+(** A configuration whose counter-map id is unknown (its processes and
+    store keep whatever ids they carry). *)
 
 val processes : t -> Proc.t list
 (** Live processes, in pid order. *)
@@ -41,17 +42,23 @@ val all_terminated : t -> bool
 (** Every process has run to completion: a final configuration. *)
 
 val next_seq : pid:Value.pid -> site:int -> t -> int * t
-(** Allocate the next sequence number for (pid, site); forgets the
-    counter id. *)
+(** Allocate the next sequence number for (pid, site).  The new counter
+    map records the bump as an edge from the old map's id when that is
+    known (see {!digest}). *)
 
 val update_proc : Proc.t -> t -> t
 val remove_proc : Value.pid -> t -> t
 val add_proc : Proc.t -> t -> t
-(** Each forgets the id of that pid only, and returns the configuration
-    itself when the process map is physically unchanged. *)
+(** Each returns the configuration itself when the process map is
+    physically unchanged. *)
 
 val with_store : Store.t -> t -> t
-(** Forgets the store id unless the store is physically unchanged. *)
+
+val forget_ids : t -> t
+(** The same configuration with no cached id and no recorded edge on it
+    or any of its components ({!Proc.forget_ids}, {!Store.forget_id}):
+    for values from another process (a checkpoint), and the ground
+    truth a derived digest is checked against. *)
 
 val with_error : string -> t -> t
 
@@ -71,16 +78,16 @@ type digest = {
     [digest_equal (digest a) (digest b)] iff [repr a = repr b]. *)
 
 val digest : t -> digest
-(** Intern against the process-wide default interner
-    ({!Intern.global}).  Only the components whose ids [t] does not
-    carry yet are interned; the ids are then stored on [t], so a
-    one-process step interns only the changed process (and the store
-    or counters, when written) and a repeated digest interns nothing.
-    The changed process is keyed shallowly ({!Proc.key}: environments
-    by their cached {!Env.id}) and the store by its cached
-    {!Store.hash}.  Cost: O(changed components) plus O(#procs log #procs) to
-    assemble the tuple.  Counts [intern.memo_hits] (an id reused) and
-    [intern.memo_misses] (a pool intern). *)
+(** Read each component's cached id, resolving only those not cached
+    yet ({!Proc.id}, {!Store.id}, and the counter map's id here); the
+    resolved ids stay on the components, so a one-process step resolves
+    only the changed process (and the store or counters, when written)
+    and a repeated digest is an array of reads.  A store or counter map
+    written by the step, and an environment bound by it, resolve
+    through an edge memo from the parent's id; a changed process is
+    five ints into its pool, its stack interning only the pushed items.
+    Counts [intern.memo_hits] (an id read) and [intern.memo_misses] (an
+    id resolved). *)
 
 val digest_of_ids :
   d_procs:int array -> d_store:int -> d_counters:int -> d_error:int -> digest

@@ -6,21 +6,29 @@
    Environments are hash-consed lazily: [id] is the binding map's number
    in a process-wide pool, -1 until a digest first asks for it.  A step
    that does not bind passes the environment on physically, id and all,
-   so a process's environment and the ones its stack saved are hashed
-   once per binding, not once per digest. *)
+   so a process's environment and the ones its stack saved are resolved
+   once per binding, not once per digest.  A binding made on an
+   environment whose id is known (or on one derived from such by a few
+   binds) records the edge (Cobegin_hash.derive), so [id] resolves it
+   through the edge memo without hashing the map. *)
 
 module SM = Map.Make (String)
 module H = Cobegin_hash
 
-type t = { map : Value.loc SM.t; mutable id : int }
+type t = {
+  map : Value.loc SM.t;
+  mutable id : int;
+  edge : (string * Value.loc) H.edge;
+}
 
-let make map = { map; id = -1 }
+let make map = { map; id = -1; edge = H.no_edge }
 let empty = make SM.empty
 let find x e = SM.find_opt x e.map
 
 let bind x loc e =
   let map = SM.add x loc e.map in
-  if map == e.map then e else make map
+  if map == e.map then e
+  else { map; id = -1; edge = H.derive ~id:e.id e.edge (x, loc) }
 
 let bindings e = SM.bindings e.map
 
@@ -42,25 +50,35 @@ module Pool = H.Pool (struct
       m 0x3b1
 end)
 
+module Memo = H.Memo (struct
+  type t = string * Value.loc
+
+  let equal (x1, l1) (x2, l2) =
+    String.equal x1 x2 && (l1 == l2 || Value.compare_loc l1 l2 = 0)
+
+  let hash (x, l) = H.combine (H.hash_string x) (Value.hash_loc l)
+end)
+
 let pool = Pool.create 1024
+let memo = Memo.create 1024
 let m_interns = Cobegin_obs.Metrics.counter "intern.env_interns"
+let m_edge_hits = Cobegin_obs.Metrics.counter "intern.env_edge_hits"
+
+let count_hit () = Cobegin_obs.Metrics.incr m_edge_hits
+let resolve e = Memo.resolve memo e.edge ~hit:count_hit (fun () -> Pool.intern pool e.map)
 
 (* Two domains may fill one environment's id at once: both get the same
-   id from the pool, so either write is right (as with Config.ids). *)
+   id, so either write is right. *)
 let id e =
   if e.id >= 0 then e.id
   else begin
     Cobegin_obs.Metrics.incr m_interns;
-    let id = Pool.intern pool e.map in
+    let id = resolve e in
     e.id <- id;
     id
   end
 
-let interned () =
-  let entries = Pool.entries pool in
-  let a = Array.make (List.length entries) empty in
-  List.iter (fun (map, id) -> a.(id) <- { map; id }) entries;
-  a
+let interned () = Array.mapi (fun id map -> { (make map) with id }) (Pool.by_id pool)
 
 (* Locations reachable directly from an environment (its frame of named
    variables). *)

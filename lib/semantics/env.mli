@@ -19,13 +19,16 @@ val id : t -> int
     binding maps get equal ids, and distinct ones distinct ids.
     Computed on the first call and cached on the value, so a step that
     does not bind — and so passes its environment on physically — never
-    hashes it again.  Counts [intern.env_interns] when it asks the
-    pool.  Ids are valid for the life of the process only. *)
+    resolves it again.  An environment made by {!bind} from one whose id
+    was known resolves through an edge memo keyed on (that id, the
+    binds), and asks the pool only on a memo miss.  Counts
+    [intern.env_interns] per resolution and [intern.env_edge_hits] per
+    memo hit.  Ids are valid for the life of the process only. *)
 
 val forget_id : t -> t
-(** The same bindings with no cached id, for values that come from
-    another process (a checkpoint), whose ids number that process's
-    pool. *)
+(** The same bindings with no cached id and no recorded edge, for
+    values that come from another process (a checkpoint), whose ids
+    number that process's pool. *)
 
 val interned : unit -> t array
 (** Every environment the pool holds, indexed by id — what a

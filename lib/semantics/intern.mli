@@ -2,52 +2,50 @@
 
     The exploration engines fold states through their canonical
     representations — deep nested lists that OCaml's generic hash
-    truncates after ~10 nodes.  This layer interns each component of a
-    configuration (a process, the store, the allocation-counter map,
-    the error marker) into a small integer id with a {e full-width}
+    truncates after ~10 nodes.  Each component of a configuration (a
+    process, the store, the allocation-counter map, the error marker)
+    is interned into a small integer id with a {e full-width}
     structural hash, so a whole configuration collapses to a flat int
     tuple ({!Config.digest}) whose equality and hashing are O(#procs).
 
-    Every [*_id] call here looks the component up in its pool.  A
-    process is keyed by its shallow {!Proc.key}, whose environments are
-    hash-consed ids ({!Env.id}); a store by itself, through its cached
-    {!Store.hash} and {!Store.equal}.  Incrementality lives
-    one level up: a configuration carries the ids of its components
-    once digested, and a step forgets only the ids of what it changed,
-    so {!Config.digest} calls this module for the changed components
-    alone.
+    Processes, stores and environments carry their own lazily filled
+    ids and own their pools ({!Proc.id}, {!Store.id}, {!Env.id}); this
+    module holds the counter and error pools, the counter-map edge
+    memo, and the snapshot/restore of every pool.  A component derived
+    from a parent with a known id by a few edits resolves through an
+    edge memo [(parent id, edits) -> id] first; the pool stays the
+    ground truth.
 
     Invariants:
     - id equality is equivalent to structural equality of the canonical
-      representation ([proc_id a = proc_id b] iff
-      [Proc.repr a = Proc.repr b], [store_id a = store_id b] iff
+      representation ([Proc.id a = Proc.id b] iff
+      [Proc.repr a = Proc.repr b], [Store.id a = Store.id b] iff
       [Store.repr a = Store.repr b], and likewise for the others);
-    - ids are never reused, so digests remain valid for the lifetime of
-      the interner that produced them.
+    - ids are never reused, so digests remain valid for the life of the
+      process.
 
-    Domain-safety: each pool serializes its own lookups and id
-    assignment under a mutex, so one interner — in particular
-    {!global}, which is created eagerly at module initialization — may
-    be shared by any number of OCaml 5 domains.  Ids stay sequential
-    and stable no matter how many domains intern concurrently; the
-    parallel exploration engine relies on this. *)
+    Domain-safety: each pool and memo serializes its own lookups and id
+    assignment under a mutex, so the process-wide pools may be shared
+    by any number of OCaml 5 domains.  Ids stay sequential and stable
+    no matter how many domains intern concurrently; the parallel
+    exploration engine relies on this. *)
 
 module CounterMap : Map.S with type key = Value.pid * int
 (** The allocation-counter map, keyed by (pid, site).  Defined here (and
     re-exported by {!Config}) so {!counters_id} can take it. *)
 
 type state
-(** An interner: one pool per component kind. *)
-
-val create : unit -> state
+(** The process-wide interner: there is exactly one, since components
+    cache the ids it hands out. *)
 
 val global : unit -> state
-(** The process-wide default interner used by {!Config.digest}.  Ids
-    from distinct [state]s are not comparable; stick to one. *)
 
-val proc_id : state -> Proc.t -> int
-val store_id : state -> Store.t -> int
-val counters_id : state -> int CounterMap.t -> int
+val counters_id :
+  state -> ?edge:(Value.pid * int) Cobegin_hash.edge -> int CounterMap.t -> int
+(** The counter map's id: through the edge memo when [edge] records the
+    bumps that made the map from one with a known id, else (and on a
+    memo miss) by the pool. *)
+
 val error_id : state -> string option -> int
 (** [-1] for [None]; interned string ids (≥ 0) for [Some _]. *)
 
@@ -76,9 +74,9 @@ type remap = {
 }
 
 val restore : state -> snapshot -> remap
-(** Re-intern every snapshotted representation into [st] (idempotent
-    for components already present) and return the saved-id → new-id
-    maps.  Restoring a snapshot into the fresh interner of a new
-    process yields the identity remap; restoring into a warm interner
-    yields valid ids that merely differ in numbering.  The saved error
+(** Re-intern every snapshotted representation (idempotent for
+    components already present) and return the saved-id → new-id maps.
+    Restoring a snapshot into the fresh pools of a new process yields
+    the identity remap; restoring into warm pools yields valid ids that
+    merely differ in numbering.  The saved error
     id [-1] ([None]) is not in the map — it stays [-1]. *)

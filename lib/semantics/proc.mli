@@ -13,14 +13,26 @@ type item =
   | Iret of { dest : Ast.lvalue option; saved_env : Env.t; site : int }
   | Ijoin of { cob : int; children : Value.pid list }
 
-type t = {
+type scache
+(** The interned ids of a stack's suffixes (see {!id}). *)
+
+type t = private {
   pid : Value.pid;
   env : Env.t;
   stack : item list;
   pstr : Pstring.t;
   buf : (Value.loc * Value.t) list;
       (** store buffer, oldest write first; always [[]] under SC *)
+  mutable id : int;  (** filled by {!id} only; -1 until then *)
+  mutable pid_id : int;
+  mutable pstr_id : int;
+  mutable buf_id : int;
+  mutable scache : scache;
 }
+(** Private: processes are built by {!make} and derived by {!update},
+    which keep the cached ids of the parts left physically unchanged
+    and forget the process's own id — so no process carries a stale
+    id. *)
 
 val make :
   ?buf:(Value.loc * Value.t) list ->
@@ -30,6 +42,17 @@ val make :
   pstr:Pstring.t ->
   unit ->
   t
+(** A process with no cached ids. *)
+
+val update :
+  ?env:Env.t ->
+  ?stack:item list ->
+  ?pstr:Pstring.t ->
+  ?buf:(Value.loc * Value.t) list ->
+  t ->
+  t
+(** The process with the given parts replaced; the process itself when
+    every given part is physically the one it has. *)
 
 (** Canonical forms of a process, over a form ['e] of its
     environments: statements identified by label, procedure strings and
@@ -56,8 +79,7 @@ type repr = (string * Value.loc) list form
     checkpoints save. *)
 
 type key = int form
-(** Environments by {!Env.id}: the shallow identity the intern pool
-    keys on.  [key a = key b] iff [repr a = repr b]. *)
+(** Environments by {!Env.id}.  [key a = key b] iff [repr a = repr b]. *)
 
 val item_repr : item -> item_repr
 val repr : t -> repr
@@ -65,16 +87,31 @@ val repr : t -> repr
 val key : t -> key
 (** Interns the environments whose ids are not cached yet. *)
 
-val key_of_repr : repr -> key
-(** The key of any process with this representation (interns its
-    environments). *)
+val id : t -> int
+(** The process's number in a process-wide, never-cleared pool:
+    [id a = id b] iff [repr a = repr b].  Computed on the first call and
+    cached on the value.  The pool keys on five ints — the ids of the
+    pid, the environment ({!Env.id}), the stack, the procedure string
+    and the buffer — and the stack's id is that of its top cell, a
+    (item, id of the stack below) pair: a derived process reuses the
+    ids of the stack suffix its parent left physically in place, and
+    interns only the pushed items.  No key is built and no polymorphic
+    equality is called on a process. *)
 
-val repr_of_key : env:(int -> Env.t) -> key -> repr
-(** Back to the deep form, given the environment of each id. *)
+val distinct : unit -> int
+(** Number of distinct processes the pool holds. *)
+
+val id_of_repr : repr -> int
+(** The id of any process with this representation (checkpoint
+    restore). *)
+
+val interned : unit -> repr array
+(** Every pooled process in its deep form, indexed by id (checkpoint
+    snapshots). *)
 
 val forget_ids : t -> t
-(** The same process with no cached environment ids (see
-    {!Env.forget_id}). *)
+(** The same process with no cached ids, its environments' included
+    (see {!Env.forget_id}). *)
 
 val next_stmt : t -> Ast.stmt option
 (** The statement the process executes next, when its top item is one. *)

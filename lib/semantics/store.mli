@@ -47,4 +47,27 @@ val equal : t -> t -> bool
 
 val bindings : t -> (Value.loc * Value.t) list
 
+val id : t -> int
+(** The cells' number in a process-wide, never-cleared pool: equal
+    cells get equal ids, metadata ignored.  Computed on the first call
+    and cached on the value.  A store made by {!set}/{!alloc} from one
+    whose id was known resolves through an edge memo keyed on (that id,
+    the writes), counting [intern.store_edge_hits] or
+    [intern.store_edge_misses]; only a memo miss or a store with no
+    recorded edge asks the pool ({!hash}, then {!equal} on a hit). *)
+
+val cached_id : t -> int
+(** The id if {!id} has filled it already, else [-1]. *)
+
+val distinct : unit -> int
+(** Number of distinct stores the pool holds. *)
+
+val interned : unit -> (Value.loc * Value.t) list array
+(** The cells of every pooled store, indexed by id (checkpoints). *)
+
+val forget_id : t -> t
+(** The same store with no cached id and no recorded edge, for values
+    from another process (a checkpoint).  The cached hash stays: it
+    depends on the cells alone. *)
+
 val pp : Format.formatter -> t -> unit

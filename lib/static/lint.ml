@@ -136,9 +136,10 @@ let await_findings (mhp : Mhp.t) =
                (String.concat ", " (SS.elements vars))))
     awaits
 
-let run (prog : Ast.program) : result =
-  let mhp = Mhp.of_program prog in
-  let ls = Lockset.analyze mhp in
+let run ?facts (prog : Ast.program) : result =
+  let mhp, ls =
+    match facts with Some f -> Lazy.force f | None -> Lockset.facts prog
+  in
   let races = Lockset.races mhp ls in
   let cycles = Deadlock.find mhp ls in
   let findings =

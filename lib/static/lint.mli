@@ -15,5 +15,8 @@ type result = {
   findings : Report.finding list;  (** canonical order, all rules *)
 }
 
-val run : Ast.program -> result
+val run : ?facts:(Mhp.t * Lockset.t) Lazy.t -> Ast.program -> result
+(** [facts] is {!Lockset.facts} of the same program, when the caller
+    shares it with another analysis; computed here otherwise. *)
+
 val pp : Format.formatter -> result -> unit

@@ -351,3 +351,7 @@ let pp_race ppf r =
   Format.fprintf ppf "%s race on %s between s%d and s%d"
     (if r.r_ww then "write/write" else "read/write")
     r.r_what r.r_stmt1 r.r_stmt2
+
+let facts prog =
+  let mhp = Mhp.of_program prog in
+  (mhp, analyze mhp)

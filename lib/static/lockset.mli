@@ -20,6 +20,10 @@ type t
 
 val analyze : Mhp.t -> t
 
+val facts : Ast.program -> Mhp.t * t
+(** The MHP relation of a program and its locksets: what the lints and
+    the interference engine both start from. *)
+
 val stable : t -> SS.t
 val eligible : t -> SS.t
 

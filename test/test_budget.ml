@@ -232,14 +232,33 @@ let refresh_tests =
             in
             check_bool "first run truncated" false
               (Budget.is_complete first.Space.status);
-            (* a budget whose creation-time deadline has already lapsed
-               by resume time — the pre-fix behavior truncated here
-               immediately with Deadline *)
-            let budget = Budget.create ~timeout_s:0.2 ~check_every:1 () in
-            Unix.sleepf 0.3;
-            let resumed =
-              Checkpoint.resume ~budget ~cadence ~path (ctx_of big_src)
+            (* Each resume gets a budget whose creation-time deadline has
+               already lapsed — the pre-fix behavior truncated at once
+               with Deadline.  A resume the timeout does stop must have
+               run for the whole timeout, and it checkpoints where it
+               stopped, so resuming again goes on from there: however
+               fast the host explores, the rounds end in the clean
+               run's counts. *)
+            let timeout_s = 0.2 in
+            let rec resume rounds =
+              let budget = Budget.create ~timeout_s ~check_every:1 () in
+              Unix.sleepf (timeout_s +. 0.1);
+              let t0 = Unix.gettimeofday () in
+              let r =
+                Checkpoint.resume ~budget ~cadence ~path (ctx_of big_src)
+              in
+              match r.Space.status with
+              | Budget.Complete -> r
+              | Budget.Truncated (Budget.Deadline _) ->
+                  check_bool "a resume the timeout stops had all of it" true
+                    (Unix.gettimeofday () -. t0 >= timeout_s);
+                  if rounds <= 1 then
+                    Alcotest.fail "resumed run completes";
+                  resume (rounds - 1)
+              | Budget.Truncated _ ->
+                  Alcotest.fail "resume stopped by another limit"
             in
+            let resumed = resume 50 in
             check_bool "resumed run completes" true
               (Budget.is_complete resumed.Space.status);
             check_bool "stats equal the clean run" true

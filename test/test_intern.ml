@@ -84,17 +84,19 @@ let digest_tests =
     case "interning is idempotent across re-serialization" (fun () ->
         let ctx = ctx_of diamond_src in
         let c0 = Step.init ctx in
-        let st = Intern.create () in
+        let st = Intern.global () in
         List.iter
           (fun p ->
-            check_int "same proc id" (Intern.proc_id st p)
-              (Intern.proc_id st p))
+            let p' = Proc.forget_ids p in
+            check_bool "same key" true (Proc.key p = Proc.key p');
+            check_int "same proc id" (Proc.id p) (Proc.id p'))
           (Config.processes c0);
-        check_int "same store id"
-          (Intern.store_id st c0.Config.store)
-          (Intern.store_id st c0.Config.store);
+        let n = Intern.distinct_procs st in
+        check_int "same store id" (Store.id c0.Config.store)
+          (Store.id (Store.forget_id c0.Config.store));
         check_int "error None is -1" (-1) (Intern.error_id st None);
-        check_bool "pools stay small" true (Intern.distinct_procs st <= 1))
+        ignore (Config.digest (Config.forget_ids c0) : Config.digest);
+        check_int "re-interning adds nothing" n (Intern.distinct_procs st))
   ]
 
 let distribution_tests =
@@ -130,29 +132,29 @@ let distribution_tests =
           (Cobegin_hash.hash_int_array a <> Cobegin_hash.hash_int_array b));
   ]
 
-(* The id cache on configurations: a digest interns only what the step
-   changed, the cache never changes a digest, and a checkpoint written
-   under another process's numbering resumes exactly. *)
+(* Ids carried by components: a digest resolves only what the step
+   changed, a derived id (through an edge memo) never differs from the
+   pool's, and a checkpoint written under another process's numbering
+   resumes exactly. *)
 
-let m_hits = Cobegin_obs.Metrics.counter "intern.memo_hits"
-let m_misses = Cobegin_obs.Metrics.counter "intern.memo_misses"
-
-(* The intern.memo_* counter deltas over [f ()]. *)
-let memo_deltas f =
+(* The deltas of the named telemetry counters over [f ()]. *)
+let counter_deltas names f =
   let module M = Cobegin_obs.Metrics in
+  let cs = List.map M.counter names in
   let was = M.enabled () in
   M.set_enabled true;
   Fun.protect
     ~finally:(fun () -> M.set_enabled was)
     (fun () ->
-      let h0 = M.counter_value m_hits and m0 = M.counter_value m_misses in
+      let before = List.map M.counter_value cs in
       f ();
-      (M.counter_value m_hits - h0, M.counter_value m_misses - m0))
+      List.map2 (fun c b -> M.counter_value c - b) cs before)
 
-(* The same configuration with no interned ids. *)
-let without_ids (c : Config.t) =
-  Config.make ~procs:c.procs ~store:c.store ~counters:c.counters
-    ~error:c.error
+(* The intern.memo_* counter deltas over [f ()]: (hits, misses). *)
+let memo_deltas f =
+  match counter_deltas [ "intern.memo_hits"; "intern.memo_misses" ] f with
+  | [ hits; misses ] -> (hits, misses)
+  | _ -> assert false
 
 (* Breadth-first over every configuration reachable under [model],
    calling [f] on every successor fired, revisits included, with its
@@ -247,23 +249,36 @@ let cache_tests =
         check_int "a repeated digest interns nothing" 0 misses);
     case "cached digests equal cache-free ones on the corpus (SC/TSO/PSO)"
       (fun () ->
-        List.iter
-          (fun model ->
-            List.iter
-              (fun (name, src) ->
-                let n =
-                  iter_reached ~model src (fun c d ->
-                      if
-                        not
-                          (Config.digest_equal d
-                             (Config.digest (without_ids c)))
-                      then
-                        Alcotest.failf "%s/%s: cached digest differs" name
-                          (Step.model_name model))
-                in
-                check_bool (name ^ " explored") true (n > 0))
-              Cobegin_models.Corpus.all)
-          Step.[ Sc; Tso; Pso ]);
+        (* every successor fired, its ids derived from its parent's
+           through the edge memos — cold, then warm — against a copy
+           with every id and edge forgotten, resolved by the pools *)
+        let hits =
+          counter_deltas
+            [ "intern.store_edge_hits"; "intern.env_edge_hits" ]
+            (fun () ->
+              List.iter
+                (fun model ->
+                  List.iter
+                    (fun (name, src) ->
+                      for _ = 1 to 2 do
+                        let n =
+                          iter_reached ~model src (fun c d ->
+                              if
+                                not
+                                  (Config.digest_equal d
+                                     (Config.digest (Config.forget_ids c)))
+                              then
+                                Alcotest.failf "%s/%s: cached digest differs"
+                                  name (Step.model_name model))
+                        in
+                        check_bool (name ^ " explored") true (n > 0)
+                      done)
+                    Cobegin_models.Corpus.all)
+                Step.[ Sc; Tso; Pso ])
+        in
+        List.iter2
+          (fun what n -> check_bool (what ^ " edge-memo hits") true (n > 0))
+          [ "store"; "env" ] hits);
     case "a checkpoint resumes exactly in a process with a warm interner"
       (fun () ->
         (* phil3 under SC, and peterson under PSO, whose saved frontier
@@ -280,18 +295,10 @@ let cache_tests =
    bindings and the cells, never the order they were built in, and a
    step that binds nothing interns no environment. *)
 
-let m_env_interns = Cobegin_obs.Metrics.counter "intern.env_interns"
-
 let env_interns f =
-  let module M = Cobegin_obs.Metrics in
-  let was = M.enabled () in
-  M.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> M.set_enabled was)
-    (fun () ->
-      let n0 = M.counter_value m_env_interns in
-      f ();
-      M.counter_value m_env_interns - n0)
+  match counter_deltas [ "intern.env_interns" ] f with
+  | [ n ] -> n
+  | _ -> assert false
 
 let loc ?(pid = []) site =
   { Value.l_pid = pid; l_site = site; l_seq = 0; l_off = 0 }
@@ -317,7 +324,6 @@ let hashcons_tests =
         && Env.id (env_of (List.rev s1))
            = Env.id (Env.of_bindings (Env.bindings (env_of (List.rev s1)))));
     case "stores equal in cells get one store id" (fun () ->
-        let st = Intern.create () in
         let a = loc 1 and b = loc 2 and c = loc ~pid:[ (7, 0) ] 3 in
         let v n = Value.Vint n in
         let birth = Pstring.empty in
@@ -343,12 +349,12 @@ let hashcons_tests =
           (Store.repr s1 = Store.repr s2);
         check_int "same hash" (Store.hash s1) (Store.hash s2);
         check_bool "Store.equal" true (Store.equal s1 s2);
-        check_int "one store id" (Intern.store_id st s1) (Intern.store_id st s2);
+        check_int "one store id" (Store.id s1) (Store.id s2);
         check_bool "a changed cell is another store" true
-          (Intern.store_id st s1 <> Intern.store_id st s3);
+          (Store.id s1 <> Store.id s3);
         check_int "setting it back is the first store again"
-          (Intern.store_id st s1)
-          (Intern.store_id st (Store.set b (v 2) s3)));
+          (Store.id s1)
+          (Store.id (Store.set b (v 2) s3)));
     case "a step that leaves a process's env unchanged interns no env"
       (fun () ->
         let ctx =
@@ -404,6 +410,110 @@ let repr_audit_tests =
           (mk ~site:1 ~dest:None <> mk ~site:1 ~dest:(Some (Ast.Lvar "x"))));
   ]
 
+(* Derived ids: components made from a parent with a known id by a few
+   edits resolve through an edge memo, and must get the pool's id —
+   the same id whatever edges led to the same contents. *)
+
+let v n = Value.Vint n
+
+(* A store with a known id and some cells, to derive from. *)
+let base_store () =
+  let birth = Pstring.empty in
+  let s =
+    Store.empty
+    |> Store.alloc ~birth (loc 1) (v 0)
+    |> Store.alloc ~birth (loc 2) (v 0)
+  in
+  ignore (Store.id s : int);
+  s
+
+let store_ids_agree what s1 s2 =
+  check_int (what ^ ": one id") (Store.id s1) (Store.id s2);
+  check_int (what ^ ": the pool's id") (Store.id (Store.forget_id s1))
+    (Store.id s1)
+
+let env_ids_agree what e1 e2 =
+  check_int (what ^ ": one id") (Env.id e1) (Env.id e2);
+  check_int (what ^ ": the pool's id")
+    (Env.id (Env.of_bindings (Env.bindings e1)))
+    (Env.id e1)
+
+let derived_tests =
+  [
+    case "stores reaching equal cells along different edges get one id"
+      (fun () ->
+        let s0 = base_store () in
+        let a = loc 1 and b = loc 2 and c = loc 3 in
+        store_ids_agree "set order"
+          (s0 |> Store.set a (v 1) |> Store.set b (v 2))
+          (s0 |> Store.set b (v 2) |> Store.set a (v 1));
+        store_ids_agree "overwritten write"
+          (s0 |> Store.set a (v 7) |> Store.set a (v 1))
+          (Store.set a (v 1) s0);
+        store_ids_agree "alloc and free order"
+          (s0
+          |> Store.alloc ~heap:true ~birth:Pstring.empty c (v 3)
+          |> Store.free (Value.LocSet.singleton c)
+          |> Store.set a (v 1))
+          (Store.set a (v 1) s0);
+        store_ids_agree "metadata only"
+          (Store.alloc ~heap:true ~exposed:true
+             ~birth:[ Pstring.Fbranch { cob = 4; idx = 1; inst = 9 } ]
+             c (v 3) s0
+          |> Store.register_block c 1)
+          (Store.set c (v 3) s0);
+        store_ids_agree "a write of the value already there" s0
+          (Store.set a (v 0) s0);
+        check_bool "different values are different stores" true
+          (Store.id (Store.set a (v 1) s0) <> Store.id (Store.set a (v 2) s0));
+        check_bool "different cells are different stores" true
+          (Store.id (Store.set a (v 1) s0) <> Store.id (Store.set b (v 1) s0)));
+    case "envs reaching equal bindings along different edges get one id"
+      (fun () ->
+        let e0 = Env.bind "x" (loc 1) Env.empty in
+        ignore (Env.id e0 : int);
+        env_ids_agree "bind order"
+          (e0 |> Env.bind "y" (loc 2) |> Env.bind "z" (loc 3))
+          (e0 |> Env.bind "z" (loc 3) |> Env.bind "y" (loc 2));
+        env_ids_agree "shadowing bind"
+          (e0 |> Env.bind "x" (loc 5) |> Env.bind "y" (loc 2))
+          (e0 |> Env.bind "y" (loc 2) |> Env.bind "x" (loc 5));
+        env_ids_agree "rebinding to the start"
+          (e0 |> Env.bind "x" (loc 4) |> Env.bind "x" (loc 1))
+          e0;
+        check_bool "different locations are different envs" true
+          (Env.id (Env.bind "y" (loc 2) e0) <> Env.id (Env.bind "y" (loc 3) e0));
+        check_bool "different names are different envs" true
+          (Env.id (Env.bind "y" (loc 2) e0) <> Env.id (Env.bind "z" (loc 2) e0)));
+    case "counter maps reaching equal counts along different edges get one id"
+      (fun () ->
+        let c0 =
+          Config.make ~procs:Config.PidMap.empty ~store:Store.empty
+            ~counters:Config.CounterMap.empty ~error:None
+        in
+        let bump (pid, site) c = snd (Config.next_seq ~pid ~site c) in
+        let counters c = (Config.digest c).Config.d_counters in
+        let c1 = bump ([], 1) c0 in
+        ignore (counters c1 : int);
+        let p = [ (3, 0) ] in
+        let agree what x y =
+          check_int (what ^ ": one id") (counters x) (counters y);
+          check_int (what ^ ": the pool's id")
+            (counters (Config.forget_ids x))
+            (counters x)
+        in
+        agree "bump order"
+          (c1 |> bump (p, 2) |> bump ([], 2))
+          (c1 |> bump ([], 2) |> bump (p, 2));
+        agree "bumps of one key, two ways"
+          (c1 |> bump ([], 1) |> bump (p, 2))
+          (c1 |> bump (p, 2) |> bump ([], 1));
+        check_bool "different pids are different maps" true
+          (counters (bump (p, 2) c1) <> counters (bump ([], 2) c1));
+        check_bool "a second bump is another map" true
+          (counters (bump ([], 1) c1) <> counters c1));
+  ]
+
 let suite =
   digest_tests @ distribution_tests @ cache_tests @ hashcons_tests
-  @ repr_audit_tests
+  @ repr_audit_tests @ derived_tests

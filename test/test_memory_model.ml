@@ -342,9 +342,10 @@ let checkpoint_tests =
             | _ -> Alcotest.fail "SC resume of a TSO checkpoint accepted"));
     case "version-1 checkpoint files are refused" (fun () ->
         (* and version 3, whose pool snapshot printed procedure strings
-           into the process representations, and version 4, whose
+           into the process representations, version 4, whose
            environments and stores marshal without their cached id and
-           hash *)
+           hash, and version 5, whose processes marshal without their
+           ids and stores without their id and recorded edge *)
         List.iter
           (fun v ->
             let path = checkpoint_path () in
@@ -366,7 +367,7 @@ let checkpoint_tests =
                     check_bool "message names the version" true
                       (String.length msg > 0)
                 | _ -> Alcotest.failf "version-%d file accepted" v))
-          [ 1; 3; 4 ]);
+          [ 1; 3; 4; 5 ]);
   ]
 
 let suite =
